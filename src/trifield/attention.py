@@ -21,6 +21,7 @@ from .autodiff import (
     add,
     affine,
     as_tensor,
+    broadcast_to,
     concat,
     gather,
     layer_norm,
@@ -30,7 +31,7 @@ from .autodiff import (
     relu,
     reshape,
     softmax,
-    transpose,
+    tsum,
 )
 from .triplane import PLANE_AXES, PLANE_IDS, Triplane
 
@@ -128,11 +129,6 @@ def token_ids(words):
     except ValueError:
         unknown = [w for w in words if w not in VOCABULARY]
         raise ValueError(f"words not in vocabulary: {unknown}") from None
-
-
-def embed_tokens(table, ids):
-    """Rows of a learned (V, d_model) table; differentiable into the table."""
-    return TextEmbedding(gather(table, np.asarray(ids, dtype=np.int64)))
 
 
 @dataclass
@@ -254,8 +250,6 @@ def stacked_orthogonal_attention(x, params, d, cross_line_index, batch=1):
     separately, the two attention results summed, projected by w_o, and added
     residually. Returns features in the same stacked layout.
     """
-    from .autodiff import broadcast_to, tsum
-
     dd = d * d
     n = batch * 3 * dd
     m = max(2 * d - 1, 1)
@@ -341,36 +335,44 @@ def orthogonal_attention_reference(tri_arrays, params, cross_line_index):
     return out
 
 
-def cross_attention(feat, text, params):
-    """Attend every triplane pixel (query) over text tokens (keys/values).
+def cross_attention(feat, text, params, batch=1):
+    """Attend every feature row (query) over its own example's text tokens (keys/values).
 
-    feat: Triplane or flattened (N, C) Tensor. Output matches the input shape;
-    a residual connection is always applied.
+    feat: Triplane, or a plane-stacked (batch*N, C) Tensor with each example's
+    N rows contiguous. text: TextEmbedding, or a (batch*L, d_model) Tensor with
+    each example's L token rows contiguous. Each query gathers the key/value
+    rows of its own example, so captions never mix across a batch. Output
+    matches the input shape; a residual connection is always applied.
     """
-    if text.length < 1:
-        raise ValueError("cross_attention requires at least one text token")
     is_tri = isinstance(feat, Triplane)
     if is_tri:
         d, c = feat.resolution, feat.channels
         x = concat([reshape(p, (d * d, c)) for p in feat.planes], axis=0)
-        n = 3 * d * d
     else:
         x = as_tensor(feat)
-        n, c = x.data.shape
+    tokens = text.tokens if isinstance(text, TextEmbedding) else as_tensor(text)
+    n, n_tok = x.data.shape[0], tokens.data.shape[0]
+    if batch < 1 or n % batch or n_tok % batch or not n_tok:
+        raise ValueError(f"cross_attention: {n} query rows and {n_tok} token rows do not split into {batch} examples")
+    length, dk, hd = n_tok // batch, params.d_k, params.heads * params.d_k
 
-    xn = _maybe_norm(x, params)
-    q = matmul(xn, params.w_q)
-    k = matmul(text.tokens, params.w_k)
-    v = matmul(text.tokens, params.w_v)
+    k = matmul(tokens, params.w_k)
+    v = matmul(tokens, params.w_v)
+    q = matmul(_maybe_norm(x, params), params.w_q)
+    key_rows = ((np.arange(n) // (n // batch))[:, None] * length + np.arange(length)[None, :]).ravel()
+    kq = reshape(gather(k, key_rows), (n, length, hd))
+    vq = reshape(gather(v, key_rows), (n, length, hd))
+
+    def head(t, axis, h):  # one head's columns; the whole tensor when there is one head
+        return t if params.heads == 1 else narrow(t, axis, h * dk, dk)
+
     outs = []
-    scale = 1.0 / np.sqrt(params.d_k)
     for h in range(params.heads):
-        sl = h * params.d_k
-        qh = narrow(q, 1, sl, params.d_k)
-        kh = narrow(k, 1, sl, params.d_k)
-        vh = narrow(v, 1, sl, params.d_k)
-        scores = mul(matmul(qh, transpose(kh, (1, 0))), scale)  # (N, L)
-        outs.append(matmul(softmax(scores, axis=1), vh))
+        qb = broadcast_to(reshape(head(q, 1, h), (n, 1, dk)), (n, length, dk))
+        scores = mul(tsum(mul(qb, head(kq, 2, h)), axis=2), 1.0 / np.sqrt(dk))  # (N, L)
+        w = softmax(scores, axis=1)
+        wb = broadcast_to(reshape(w, (n, length, 1)), (n, length, dk))
+        outs.append(tsum(mul(wb, head(vq, 2, h)), axis=1))
     att = outs[0] if len(outs) == 1 else concat(outs, axis=1)
     y = add(x, matmul(att, params.w_o))
     if is_tri:

@@ -16,7 +16,6 @@ from .triplane import CheckpointError, read_triplane_block, write_triplane_block
 
 SECTION_VERSION = 1
 HEADS_MAGIC = b"HEDS"
-DENOISER_MAGIC = b"DNZR"
 
 
 def write_named_arrays(f, magic, arrays):

@@ -1,8 +1,9 @@
 """Command-line surface: gradient checks, scene fitting, any-view rendering,
 diffusion training/sampling/ablation, and checkpoint evaluation.
 
-Exit codes: 0 success, 1 acceptance failure, 2 configuration error. Every
-command is deterministic given (config, seed) and writes only under --out.
+Exit codes: 0 success, 1 acceptance or checkpoint failure, 2 config or usage
+error. Every command is deterministic given (config, seed) and writes only
+under --out.
 """
 
 from __future__ import annotations
@@ -28,6 +29,17 @@ def _write_metrics(path, items):
 
 def _fmt(x):
     return repr(float(x))
+
+
+def _load_checkpoint(load, path):
+    """`load(path)`, or None after printing the failing field (the caller exits 1)."""
+    from .triplane import CheckpointError
+
+    try:
+        return load(path)
+    except (CheckpointError, OSError) as exc:
+        print(f"checkpoint error: {exc}", file=sys.stderr)
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +233,27 @@ def _load_config(args):
     return cfg
 
 
+def _azimuth_psnrs(cfg, scene, tri, heads, size, prefix):
+    """PSNR against the oracle at every eval.azimuths_deg pose -> (metrics, mean)."""
+    import numpy as np
+
+    from . import scenes as sc
+    from . import training as tr
+    from .render import render_view
+
+    elev = np.deg2rad(cfg["eval.elevation_deg"])
+    metrics, psnrs = [], []
+    for az_deg in cfg["eval.azimuths_deg"]:
+        cam = sc.orbit_camera(np.deg2rad(az_deg), elev, cfg["fit.orbit_radius"], height=size, width=size)
+        gt = sc.oracle_render(scene, cam, cfg["eval.oracle_samples"])
+        pred = render_view(tri, heads, cam, cfg["render.samples_per_ray"])
+        psnrs.append(tr.psnr(pred.image, gt.image))
+        metrics.append((f"{prefix}.{az_deg:g}", _fmt(psnrs[-1])))
+    mean = np.mean(psnrs)
+    metrics.append((f"{prefix}.mean", _fmt(mean)))
+    return metrics, mean
+
+
 def cmd_fit(args):
     import numpy as np
 
@@ -257,22 +290,12 @@ def cmd_fit(args):
                 ("diverged", int(result.diverged)),
                 ("mean_sigma", _fmt(tr.mean_density(result.triplane, result.heads)))]
 
-    n_render = cfg["render.samples_per_ray"]
-    eval_elev = np.deg2rad(cfg["eval.elevation_deg"])
-    psnrs = []
-    for az_deg in [float(a) for a in cfg["eval.azimuths_deg"].split(",")]:
-        cam = sc.orbit_camera(np.deg2rad(az_deg), eval_elev, radius, height=size, width=size)
-        gt = sc.oracle_render(scene, cam, cfg["eval.oracle_samples"])
-        pred = render_view(result.triplane, result.heads, cam, n_render)
-        val = tr.psnr(pred.image, gt.image)
-        psnrs.append(val)
-        metrics.append((f"psnr.holdout.{az_deg:g}", _fmt(val)))
-    metrics.append(("psnr.holdout.mean", _fmt(np.mean(psnrs))))
+    metrics += _azimuth_psnrs(cfg, scene, result.triplane, result.heads, size, "psnr.holdout")[0]
 
     az_u = cfg["eval.unseen_azimuth_deg"]
-    cam = sc.orbit_camera(np.deg2rad(az_u), eval_elev, radius, height=size, width=size)
+    cam = sc.orbit_camera(np.deg2rad(az_u), np.deg2rad(cfg["eval.elevation_deg"]), radius, height=size, width=size)
     gt = sc.oracle_render(scene, cam, cfg["eval.oracle_samples"])
-    pred = render_view(result.triplane, result.heads, cam, n_render)
+    pred = render_view(result.triplane, result.heads, cam, cfg["render.samples_per_ray"])
     metrics.append((f"psnr.unseen.{az_u:g}", _fmt(tr.psnr(pred.image, gt.image))))
 
     out = cfg["out"]
@@ -295,14 +318,12 @@ def cmd_render(args):
     from .checkpoint import load_fit_checkpoint
     from .images import write_pgm, write_ppm
     from .render import default_bounds, render_view
-    from .triplane import CheckpointError
 
     cfg = _load_config(args)
-    try:
-        tri, heads = load_fit_checkpoint(args.checkpoint)
-    except (CheckpointError, OSError) as exc:
-        print(f"checkpoint error: {exc}", file=sys.stderr)
+    loaded = _load_checkpoint(load_fit_checkpoint, args.checkpoint)
+    if loaded is None:
         return 1
+    tri, heads = loaded
     size = args.size or cfg["render.size"]
     n = cfg["render.samples_per_ray"]
     radius = cfg["fit.orbit_radius"]
@@ -321,36 +342,16 @@ def cmd_render(args):
 
 
 def cmd_eval(args):
-    import numpy as np
-
-    from . import scenes as sc
-    from . import training as tr
     from .checkpoint import load_fit_checkpoint
-    from .render import render_view
-    from .triplane import CheckpointError
 
     cfg = _load_config(args)
-    try:
-        tri, heads = load_fit_checkpoint(args.checkpoint)
-    except (CheckpointError, OSError) as exc:
-        print(f"checkpoint error: {exc}", file=sys.stderr)
+    loaded = _load_checkpoint(load_fit_checkpoint, args.checkpoint)
+    if loaded is None:
         return 1
-    scene = _scene_from_config(cfg)
-    size = cfg["render.size"]
-    radius = cfg["fit.orbit_radius"]
-    elev = np.deg2rad(cfg["eval.elevation_deg"])
-    metrics = []
-    psnrs = []
-    for az_deg in [float(a) for a in cfg["eval.azimuths_deg"].split(",")]:
-        cam = sc.orbit_camera(np.deg2rad(az_deg), elev, radius, height=size, width=size)
-        gt = sc.oracle_render(scene, cam, cfg["eval.oracle_samples"])
-        pred = render_view(tri, heads, cam, cfg["render.samples_per_ray"])
-        val = tr.psnr(pred.image, gt.image)
-        psnrs.append(val)
-        metrics.append((f"psnr.{az_deg:g}", _fmt(val)))
-    metrics.append(("psnr.mean", _fmt(np.mean(psnrs))))
+    tri, heads = loaded
+    metrics, mean = _azimuth_psnrs(cfg, _scene_from_config(cfg), tri, heads, cfg["render.size"], "psnr")
     _write_metrics(os.path.join(cfg["out"], "eval_metrics.txt"), metrics)
-    print(f"mean PSNR {np.mean(psnrs):.2f} dB over {len(psnrs)} views")
+    print(f"mean PSNR {mean:.2f} dB over {len(cfg['eval.azimuths_deg'])} views")
     return 0
 
 
@@ -402,15 +403,20 @@ def cmd_diffusion(args):
     cfg = _load_config(args)
     out = cfg["out"]
     rng = np.random.default_rng(cfg["seed"])
+    if args.mode == "sample" and not args.checkpoint:
+        print("usage error: diffusion sample needs --checkpoint", file=sys.stderr)
+        return 2
+    denoiser = None
+    if args.checkpoint and args.mode != "ablate":
+        denoiser = _load_checkpoint(df.load_denoiser, args.checkpoint)
+        if denoiser is None:
+            return 1
 
     if args.mode == "train":
         dataset = _diffusion_dataset(cfg)
         train_cfg, model_cfg = _train_cfgs(cfg, cfg["diffusion.use_oa"])
-        denoiser = None
-        if args.checkpoint:
-            denoiser = df.load_denoiser(args.checkpoint)
-            if train_cfg.freeze_backbone and not denoiser.cfg.use_adapters:
-                denoiser = df.with_adapters(denoiser, seed=cfg["seed"])
+        if denoiser is not None and train_cfg.freeze_backbone and not denoiser.cfg.use_adapters:
+            denoiser = df.with_adapters(denoiser, seed=cfg["seed"])
         result = df.train_denoiser(dataset, train_cfg, model_cfg=model_cfg, denoiser=denoiser)
         df.save_denoiser(os.path.join(out, "denoiser.ckpt"), result.denoiser)
         metrics = [(f"loss.{i:05d}", _fmt(v)) for i, v in enumerate(result.history, start=1) if i % 100 == 0]
@@ -420,7 +426,6 @@ def cmd_diffusion(args):
         return 1 if result.diverged else 0
 
     if args.mode == "sample":
-        denoiser = df.load_denoiser(args.checkpoint)
         sched = df.make_schedule(cfg["diffusion.timesteps"], cfg["diffusion.beta_start"], cfg["diffusion.beta_end"])
         dataset = _diffusion_dataset(cfg)
         n = cfg["diffusion.samples"]

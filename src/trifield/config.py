@@ -1,7 +1,8 @@
 """Line-oriented key=value run configuration with strict unknown-key rejection.
 
 Every key has a documented default below; files may set any subset. Values are
-parsed to the default's type. '#' starts a comment; blank lines are ignored.
+parsed to the default's type; a tuple default takes a comma-separated list of
+numbers. '#' starts a comment; blank lines are ignored.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ DEFAULTS = {
     "render.samples_per_ray": 96,
     "render.size": 64,
 
-    "eval.azimuths_deg": "0,90,180,270",
+    "eval.azimuths_deg": (0.0, 90.0, 180.0, 270.0),
     "eval.unseen_azimuth_deg": 137.0,
     "eval.elevation_deg": 20.0,
     "eval.oracle_samples": 1024,
@@ -91,6 +92,13 @@ def _parse_value(raw, default, key, line_no):
             return float(raw)
         except ValueError:
             raise ConfigError(f"line {line_no}: key {key!r} expects a number, got {raw!r}") from None
+    if isinstance(default, tuple):
+        try:
+            return tuple(float(a) for a in raw.split(","))
+        except ValueError:
+            raise ConfigError(
+                f"line {line_no}: key {key!r} expects a comma-separated list of numbers, got {raw!r}"
+            ) from None
     return raw
 
 

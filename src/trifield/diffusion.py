@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, add, affine, concat, gather, matmul, mul, narrow, relu, reshape, tmean, tsum
-from .attention import VOCABULARY, AttentionParams, stacked_orthogonal_attention
+from .autodiff import Tensor, add, affine, concat, gather, mul, narrow, relu, reshape, tmean
+from .attention import VOCABULARY, AttentionParams, cross_attention, stacked_orthogonal_attention
 from .checkpoint import CheckpointError, read_named_arrays, write_named_arrays
 from .training import AdamW
 from .triplane import PLANE_IDS, Triplane, plane_marginal
@@ -230,38 +230,22 @@ class Denoiser:
         h = self._conv_named(relu(h), f"{name}.c2", d, b)
         return add(x, h)
 
+    def _attention_params(self, prefix):
+        p = self.params
+        return AttentionParams(w_q=p[f"{prefix}.wq"], w_k=p[f"{prefix}.wk"], w_v=p[f"{prefix}.wv"],
+                               w_o=p[f"{prefix}.wo"], d_k=self.cfg.d_k)
+
     def _adapter(self, x, name, d, b):
         h = self._conv_named(relu(self._conv_named(relu(x), f"{name}.c1", d, b)), f"{name}.c2", d, b)
         x = add(x, h)
         if not self.cfg.adapter_attention:
             return x
-        oa = AttentionParams(
-            w_q=self.params[f"{name}.oa.wq"], w_k=self.params[f"{name}.oa.wk"],
-            w_v=self.params[f"{name}.oa.wv"], w_o=self.params[f"{name}.oa.wo"],
-            d_k=self.cfg.d_k,
-        )
-        return stacked_orthogonal_attention(x, oa, d, d // 2, batch=b)
+        return stacked_orthogonal_attention(x, self._attention_params(f"{name}.oa"), d, d // 2, batch=b)
 
     def _text_attention(self, x, token_matrix, d, b):
-        """Cross-attention with per-example text keys via gathered key rows."""
-        from .autodiff import broadcast_to
-
-        f, dk = self.cfg.hidden, self.cfg.d_k
-        bb, length = token_matrix.shape
+        """Cross-attention of the (B*3*d*d, F) rows over each example's caption embedding."""
         emb = gather(self.params["vocab"], token_matrix.ravel())  # (B*L, d_model)
-        k = matmul(emb, self.params["ca.wk"])
-        v = matmul(emb, self.params["ca.wv"])
-        q = matmul(x, self.params["ca.wq"])
-        n = b * 3 * d * d
-        key_rows = (self._idx("rows", d, b)[:, None] * length + np.arange(length)[None, :]).ravel()
-        kq = reshape(gather(k, key_rows), (n, length, dk))
-        vq = reshape(gather(v, key_rows), (n, length, dk))
-        qb = broadcast_to(reshape(q, (n, 1, dk)), (n, length, dk))
-        scores = mul(tsum(mul(qb, kq), axis=2), 1.0 / np.sqrt(dk))
-        w = ad.softmax(scores, axis=1)
-        wb = broadcast_to(reshape(w, (n, length, 1)), (n, length, dk))
-        att = tsum(mul(wb, vq), axis=1)
-        return add(x, matmul(att, self.params["ca.wo"]))
+        return cross_attention(x, emb, self._attention_params("ca"), batch=b)
 
     def _forward_stacked(self, x, ts, token_matrix, b):
         """Core pass on plane-stacked features (B*3*D*D, C) -> same shape."""
@@ -417,25 +401,6 @@ def train_denoiser(dataset, cfg, model_cfg=None, denoiser=None):
     return result
 
 
-def ddpm_sample(denoiser, tokens, sched, rng):
-    """Ancestral reverse chain from unit noise, deterministic under the rng seed."""
-    d, c = denoiser.cfg.resolution, denoiser.cfg.channels
-    x = [rng.standard_normal((d, d, c)) for _ in range(3)]
-    for t in range(sched.timesteps, 0, -1):
-        eps_hat = denoiser.forward(Triplane(tuple(Tensor(p) for p in x)), t, tokens)
-        beta = sched.beta(t)
-        ab = sched.alpha_bar(t)
-        coef = beta / np.sqrt(1.0 - ab)
-        inv_sqrt_alpha = 1.0 / np.sqrt(1.0 - beta)
-        mean = [inv_sqrt_alpha * (p - coef * e.data) for p, e in zip(x, eps_hat.planes)]
-        if t > 1:
-            var = beta * (1.0 - sched.alpha_bar_prev(t)) / (1.0 - ab)
-            x = [m + np.sqrt(var) * rng.standard_normal(m.shape) for m in mean]
-        else:
-            x = mean
-    return Triplane(tuple(Tensor(p) for p in x))
-
-
 def ddpm_sample_many(denoiser, tokens_list, sched, rng, chunk=8):
     """Run many ancestral chains, batched through the stacked forward pass."""
     d, c = denoiser.cfg.resolution, denoiser.cfg.channels
@@ -494,7 +459,10 @@ def load_denoiser(path):
         magic = f.read(4)
         if magic != DENOISER_MAGIC:
             raise CheckpointError(f"magic: expected {DENOISER_MAGIC!r}, got {magic!r}")
-        version, d, c, hidden, d_k, d_model, timesteps, flags = struct.unpack("<HIIIIIII", f.read(30))
+        header = f.read(30)
+        if len(header) != 30:
+            raise CheckpointError("header: truncated before version/config fields")
+        version, d, c, hidden, d_k, d_model, timesteps, flags = struct.unpack("<HIIIIIII", header)
         if version != DENOISER_VERSION:
             raise CheckpointError(f"version: expected {DENOISER_VERSION}, got {version}")
         cfg = DenoiserConfig(resolution=d, channels=c, hidden=hidden, d_k=d_k, d_model=d_model,

@@ -107,12 +107,6 @@ def generate_rays(cam, t_near=None, t_far=None):
     return RayBundle(origins, dirs.reshape(-1, 3), float(t_near), float(t_far), (h, w))
 
 
-def sample_points(ray, n, stratified=False, rng=None):
-    """t-values along one ray: bin midpoints, or one uniform draw per bin."""
-    ts = sample_points_batch(ray.t_near, ray.t_far, 1, n, stratified, rng)
-    return ts[0]
-
-
 def sample_points_batch(t_near, t_far, n_rays, n, stratified=False, rng=None):
     if n < 1:
         raise ValueError(f"need n >= 1 samples, got {n}")
@@ -199,15 +193,6 @@ def field_eval_batch(tri, heads, points):
     return sigma, color
 
 
-def field_eval(tri, heads, p):
-    """Density and color at a single world point."""
-    pts = ad.as_tensor(p)
-    if pts.data.ndim == 1:
-        pts = reshape(pts, (1, 3))
-    sigma, color = field_eval_batch(tri, heads, pts)
-    return reshape(sigma, ()), reshape(color, (3,))
-
-
 def integrate_rays(sigmas, colors, ts, t_far):
     """Quadrature over aligned per-ray samples -> (rgb (R,3), mask (R,), depth (R,))."""
     sig = ad.as_tensor(sigmas)
@@ -236,17 +221,6 @@ def integrate_rays(sigmas, colors, ts, t_far):
     mask = tsum(w, axis=1)
     depth = add(tsum(mul(w, Tensor(ts)), axis=1), mul(sub(1.0, mask), float(t_far)))
     return rgb, mask, depth
-
-
-def integrate_ray(sigmas, colors, ts, t_far):
-    """Single-ray wrapper around integrate_rays."""
-    sig = ad.as_tensor(sigmas)
-    col = ad.as_tensor(colors)
-    n = sig.data.shape[0]
-    rgb, mask, depth = integrate_rays(
-        reshape(sig, (1, n)), reshape(col, (1, n, 3)), np.asarray(ts, dtype=np.float64).reshape(1, n), t_far
-    )
-    return reshape(rgb, (3,)), reshape(mask, ()), reshape(depth, ())
 
 
 def render_rays(tri, heads, origins, dirs, t_near, t_far, n, stratified=False, rng=None):

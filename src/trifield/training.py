@@ -107,13 +107,6 @@ class AdamW:
             p.grad = None
 
 
-def adamw_step(state, params=None, grads=None):
-    """Functional wrapper: one optimizer step on the state's bound parameters."""
-    if params is not None and list(params) != state.params:
-        raise ValueError("params must be the ones the optimizer state was built for")
-    return state.step(grads)
-
-
 @dataclass
 class FitConfig:
     iterations: int = 3000

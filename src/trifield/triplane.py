@@ -39,18 +39,6 @@ def clamp_count():
     return _clamp_count
 
 
-def reset_clamp_count():
-    global _clamp_count
-    _clamp_count = 0
-
-
-@dataclass
-class PlaneCoord:
-    plane_id: str
-    u: float
-    v: float
-
-
 @dataclass
 class Triplane:
     """Three co-sized feature planes over [-1, 1]^3.
@@ -107,23 +95,6 @@ def plane_to_world(index, d):
     return 2.0 * index / (d - 1) - 1.0
 
 
-def project_point(p, d):
-    """Project a world point onto the three planes, clamping out-of-cube components."""
-    global _clamp_count
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (3,):
-        raise ValueError(f"project_point expects a 3-vector, got shape {p.shape}")
-    n_out = int(np.count_nonzero((p < -1.0) | (p > 1.0)))
-    if n_out:
-        _clamp_count += n_out
-    pc = np.clip(p, -1.0, 1.0)
-    coords = []
-    for pid in PLANE_IDS:
-        au, av = PLANE_AXES[pid]
-        coords.append(PlaneCoord(pid, world_to_plane(pc[au], d), world_to_plane(pc[av], d)))
-    return tuple(coords)
-
-
 def _bilinear_plane(plane, u, v, d):
     """Bilinear sample of one plane at on-tape continuous coords u, v (each (N,))."""
     c = plane.data.shape[2]
@@ -153,16 +124,12 @@ def _bilinear_plane(plane, u, v, d):
 def sample_triplane(tri, points):
     """Features at world points: per-plane bilinear lookups concatenated (xy, xz, yz).
 
-    points: Tensor or array, (N, 3) or (3,). Returns (N, 3C) (or (3C,) for a
-    single point). Differentiable w.r.t. both plane contents and points, away
-    from integer grid lines. Out-of-cube components clamp (counter flagged).
+    points: Tensor or array, (N, 3). Returns (N, 3C). Differentiable w.r.t.
+    both plane contents and points, away from integer grid lines. Out-of-cube
+    components clamp (counter flagged).
     """
     global _clamp_count
-    single = False
     pts = as_tensor(points)
-    if pts.data.ndim == 1:
-        pts = reshape(pts, (1, 3))
-        single = True
     if pts.data.ndim != 2 or pts.data.shape[1] != 3:
         raise ValueError(f"points must be (N, 3), got {pts.data.shape}")
     d = tri.resolution
@@ -180,10 +147,7 @@ def sample_triplane(tri, points):
         u = mul(add(comps[au], 1.0), half)
         v = mul(add(comps[av], 1.0), half)
         feats.append(_bilinear_plane(plane, u, v, d))
-    out = concat(feats, axis=1)
-    if single:
-        out = reshape(out, (3 * tri.channels,))
-    return out
+    return concat(feats, axis=1)
 
 
 def plane_marginal(plane, axis, reducer):

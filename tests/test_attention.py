@@ -234,6 +234,24 @@ def test_cross_attention_two_token_closed_form():
     assert np.abs((out.data - x) - increment_limit).max() < 1e-8
 
 
+def test_cross_attention_batch_equals_per_example_calls():
+    # two examples with different captions, multi-head with pre-norm: each
+    # example's rows attend only to its own caption
+    rng = np.random.default_rng(11)
+    c, dm, length, rows = 3, 5, 4, 12
+    params = at.attention_params(rng, c, d_k=2, kv_dim=dm, heads=2, zero_out=False, with_norm=True)
+    x = rng.normal(size=(2 * rows, c))
+    captions = rng.normal(size=(2, length, dm))
+    both = at.cross_attention(Tensor(x), Tensor(captions.reshape(2 * length, dm)), params, batch=2)
+    for e in range(2):
+        one = at.cross_attention(Tensor(x[e * rows:(e + 1) * rows]), at.TextEmbedding(Tensor(captions[e])), params)
+        assert np.abs(both.data[e * rows:(e + 1) * rows] - one.data).max() < 1e-12
+    swapped = at.cross_attention(Tensor(x), Tensor(captions[::-1].reshape(2 * length, dm)), params, batch=2)
+    assert np.abs(swapped.data - both.data).max() > 1e-3  # the caption really matters
+    with pytest.raises(ValueError, match="examples"):
+        at.cross_attention(Tensor(x), Tensor(captions.reshape(2 * length, dm)), params, batch=3)
+
+
 def test_text_embedding_requires_tokens():
     with pytest.raises(ValueError):
         at.TextEmbedding(Tensor(np.zeros((0, 4))))

@@ -1,0 +1,41 @@
+"""Every hook of the benchmark's tracer still resolves against the program.
+
+The benchmark (perfbench/) rebinds named functions and methods to trace them
+and stops with BoundaryMissing when one is gone. This loads its tracing module
+by path and resolves each boundary with the tracer's own resolver, without
+installing the tracer, so a refactor that breaks the benchmark fails here.
+"""
+
+import importlib.util
+import inspect
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", os.path.join(ROOT, "perfbench", "tracing.py"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_every_boundary_resolves(tracing):
+    hooks = [(modname, attr) for modname, attr, _ in tracing.BOUNDARIES]
+    for modname, attr in hooks + [("trifield.triplane", "clamp_count")]:
+        _, _, fn = tracing._resolve(modname, attr)
+        assert callable(fn), f"{modname}.{attr}"
+
+
+def test_positional_arguments_the_tracer_reads(tracing):
+    # Tracer._count reads the points at args[1] of sample_triplane and the
+    # resolution at args[2] of stacked_orthogonal_attention
+    for modname, attr, position, name in (
+        ("trifield.triplane", "sample_triplane", 1, "points"),
+        ("trifield.attention", "stacked_orthogonal_attention", 2, "d"),
+    ):
+        fn = tracing._resolve(modname, attr)[2]
+        assert list(inspect.signature(fn).parameters)[position] == name, f"{modname}.{attr}"

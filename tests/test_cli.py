@@ -84,6 +84,42 @@ def test_cli_exit_2_on_config_error(tmp_path):
     assert run_cli("fit", "--config", path, "--out", str(tmp_path / "o")) == 2
 
 
+def test_config_parses_azimuth_list_once(tmp_path):
+    assert RunConfig()["eval.azimuths_deg"] == (0.0, 90.0, 180.0, 270.0)
+    cfg = parse_config(write_config(tmp_path / "ok.cfg", ["eval.azimuths_deg = 10, 22.5"]))
+    assert cfg["eval.azimuths_deg"] == (10.0, 22.5)
+    path = write_config(tmp_path / "bad.cfg", ["seed = 1", "eval.azimuths_deg = 0,abc"])
+    with pytest.raises(ConfigError, match="line 2.*eval.azimuths_deg"):
+        parse_config(path)
+
+
+def test_fit_exit_2_on_bad_azimuth_list_before_fitting(tmp_path, capsys):
+    cfgp = write_config(tmp_path / "fit.cfg", TINY_FIT + ["eval.azimuths_deg = 0,abc"])
+    out = tmp_path / "run"
+    assert run_cli("fit", "--config", cfgp, "--out", str(out)) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "checkpoint.trifield").exists()
+
+
+def test_diffusion_sample_without_checkpoint_exits_2(tmp_path, capsys):
+    cfgp = write_config(tmp_path / "d.cfg", TINY_DIFFUSION)
+    assert run_cli("diffusion", "sample", "--config", cfgp, "--out", str(tmp_path / "s")) == 2
+    assert "--checkpoint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["train", "sample"])
+def test_diffusion_checkpoint_errors_exit_1(tmp_path, capsys, mode):
+    cfgp = write_config(tmp_path / "d.cfg", TINY_DIFFUSION)
+    missing = str(tmp_path / "missing.ckpt")
+    assert run_cli("diffusion", mode, "--config", cfgp, "--checkpoint", missing, "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err.startswith("checkpoint error: ")
+    short = tmp_path / "short.ckpt"
+    short.write_bytes(b"DNZR\x01\x00")  # header cut after the version
+    assert run_cli("diffusion", mode, "--config", cfgp, "--checkpoint", str(short), "--out", str(tmp_path / "o")) == 1
+    assert "checkpoint error: header" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "denoiser.ckpt").exists()
+
+
 def test_gradcheck_numerics_passes(capsys):
     assert run_cli("gradcheck", "--scope", "numerics") == 0
     out = capsys.readouterr().out

@@ -90,6 +90,9 @@ class EchoDenoiser:
     def forward(self, x_t, t, tokens):
         return self.out
 
+    def _forward_stacked(self, x, ts, token_matrix, b):
+        return Tensor(df.stack_triplanes([self.out] * b))
+
 
 def test_epsilon_loss_zero_for_perfect_stub():
     x0 = small_dataset(1)[0].x0
@@ -178,10 +181,10 @@ def test_single_step_chain_matches_closed_form():
     const = Triplane(tuple(Tensor(np.full((8, 8, 4), 0.25)) for _ in range(3)))
     den = EchoDenoiser(const)
     den.cfg = small_model().cfg  # resolution/channels for the sampler
-    out = df.ddpm_sample(den, dataset[0].tokens, sched, np.random.default_rng(5))
+    (out,) = df.ddpm_sample_many(den, [dataset[0].tokens], sched, np.random.default_rng(5))
     # regenerate the same initial noise stream
     r2 = np.random.default_rng(5)
-    x1 = [r2.standard_normal((8, 8, 4)) for _ in range(3)]
+    x1 = list(r2.standard_normal((3, 8, 8, 4)))
     beta, ab = 0.3, 0.7
     want = [(p - beta / np.sqrt(1 - ab) * 0.25) / np.sqrt(1 - beta) for p in x1]
     for o, w in zip(out.planes, want):
@@ -192,8 +195,8 @@ def test_sampling_deterministic_under_seed():
     dataset = small_dataset(2)
     den = small_model(seed=6)
     sched = df.make_schedule(20)
-    a = df.ddpm_sample(den, dataset[0].tokens, sched, np.random.default_rng(11))
-    b = df.ddpm_sample(den, dataset[0].tokens, sched, np.random.default_rng(11))
+    (a,) = df.ddpm_sample_many(den, [dataset[0].tokens], sched, np.random.default_rng(11))
+    (b,) = df.ddpm_sample_many(den, [dataset[0].tokens], sched, np.random.default_rng(11))
     for pa, pb in zip(a.planes, b.planes):
         assert np.array_equal(pa.data, pb.data)
     toks = [dataset[i % 2].tokens for i in range(4)]
@@ -276,3 +279,23 @@ def test_denoiser_checkpoint_magic_error():
             f.write(b"XXXX" + b"\x00" * 30)
         with pytest.raises(df.CheckpointError, match="magic"):
             df.load_denoiser(path)
+        with open(path, "wb") as f:
+            f.write(b"DNZR\x01\x00")  # magic and version, then nothing
+        with pytest.raises(df.CheckpointError, match="header"):
+            df.load_denoiser(path)
+
+
+def test_text_attention_is_cross_attention_over_caption_rows():
+    from trifield.attention import cross_attention
+
+    den = small_model(seed=3)
+    rng = np.random.default_rng(8)
+    for name in ("ca.wo", "ca.wv"):  # make the attention path non-trivial
+        den.params[name].data = rng.normal(size=den.params[name].data.shape)
+    d, b = 4, 2
+    tokens = np.stack([small_dataset(2)[i].tokens for i in range(2)])
+    x = Tensor(rng.normal(size=(b * 3 * d * d, den.cfg.hidden)))
+    got = den._text_attention(x, tokens, d, b)
+    emb = Tensor(den.params["vocab"].data[tokens.ravel()])
+    want = cross_attention(x, emb, den._attention_params("ca"), batch=b)
+    assert np.array_equal(got.data, want.data)

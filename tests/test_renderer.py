@@ -62,13 +62,11 @@ def test_degenerate_look_at_rejected():
 
 
 def test_sample_points_single_midpoint():
-    ray = Ray(np.zeros(3), np.array([1.0, 0.0, 0.0]), 0.0, 4.0)
-    assert np.array_equal(rd.sample_points(ray, 1), [2.0])
+    assert np.array_equal(rd.sample_points_batch(0.0, 4.0, 1, 1), [[2.0]])
 
 
 def test_sample_points_bin_midpoints():
-    ray = Ray(np.zeros(3), np.array([1.0, 0.0, 0.0]), 0.0, 4.0)
-    assert np.array_equal(rd.sample_points(ray, 4), [0.5, 1.5, 2.5, 3.5])
+    assert np.array_equal(rd.sample_points_batch(0.0, 4.0, 2, 4), [[0.5, 1.5, 2.5, 3.5]] * 2)
 
 
 def test_stratified_draws_stay_in_bins():
@@ -85,8 +83,8 @@ def test_field_eval_density_bias_tail():
     tri = tp.random_triplane(rng, 4, 2, scale=0.1)
     heads = rd.init_field_heads(rng, 6, hidden=8, depth=2, density_bias=-20.0)
     heads.s_layers[-1][0].data[:] = 0.0  # leave only the -20 bias
-    sigma, _ = rd.field_eval(tri, heads, np.array([0.1, 0.2, 0.3]))
-    assert float(sigma.data) < 1e-8
+    sigma, _ = rd.field_eval_batch(tri, heads, np.array([[0.1, 0.2, 0.3]]))
+    assert sigma.data.shape == (1,) and float(sigma.data[0]) < 1e-8
 
 
 def test_field_eval_zero_color_head_gives_mid_gray():
@@ -96,8 +94,8 @@ def test_field_eval_zero_color_head_gives_mid_gray():
     for w, b in heads.c_layers:
         w.data[:] = 0.0
         b.data[:] = 0.0
-    _, color = rd.field_eval(tri, heads, np.array([0.1, 0.2, 0.3]))
-    assert np.array_equal(color.data, [0.5, 0.5, 0.5])
+    _, color = rd.field_eval_batch(tri, heads, np.array([[0.1, 0.2, 0.3]]))
+    assert np.array_equal(color.data, [[0.5, 0.5, 0.5]])
 
 
 def test_field_eval_grad_check_wrt_planes():
@@ -117,24 +115,24 @@ def test_field_eval_grad_check_wrt_planes():
 
 
 def test_integrate_vacuum_ray():
-    rgb, mask, depth = rd.integrate_ray(np.zeros(4), np.full((4, 3), 0.7), [0.5, 1.5, 2.5, 3.5], 4.0)
-    assert np.array_equal(rgb.data, np.zeros(3))
-    assert float(mask.data) == 0.0
-    assert float(depth.data) == 4.0
+    rgb, mask, depth = rd.integrate_rays(np.zeros((1, 4)), np.full((1, 4, 3), 0.7), [[0.5, 1.5, 2.5, 3.5]], 4.0)
+    assert np.array_equal(rgb.data, np.zeros((1, 3)))
+    assert np.array_equal(mask.data, [0.0])
+    assert np.array_equal(depth.data, [4.0])
 
 
 def test_integrate_opaque_sample():
-    rgb, mask, depth = rd.integrate_ray(np.array([50.0]), np.array([[0.2, 0.4, 0.6]]), [1.0], 2.0)
-    assert 1.0 - float(mask.data) < 1e-20
-    assert np.abs(rgb.data - [0.2, 0.4, 0.6]).max() < 1e-20
-    assert abs(float(depth.data) - 1.0) < 1e-19
+    rgb, mask, depth = rd.integrate_rays(np.array([[50.0]]), np.array([[[0.2, 0.4, 0.6]]]), [[1.0]], 2.0)
+    assert 1.0 - float(mask.data[0]) < 1e-20
+    assert np.abs(rgb.data - [[0.2, 0.4, 0.6]]).max() < 1e-20
+    assert abs(float(depth.data[0]) - 1.0) < 1e-19
 
 
 def test_integrate_rejects_bad_inputs():
     with pytest.raises(ValueError, match="ascending"):
-        rd.integrate_ray(np.zeros(3), np.zeros((3, 3)), [1.0, 1.0, 2.0], 4.0)
+        rd.integrate_rays(np.zeros((1, 3)), np.zeros((1, 3, 3)), [[1.0, 1.0, 2.0]], 4.0)
     with pytest.raises(ValueError, match="non-negative"):
-        rd.integrate_ray(np.array([-0.1, 0.0]), np.zeros((2, 3)), [1.0, 2.0], 4.0)
+        rd.integrate_rays(np.array([[-0.1, 0.0]]), np.zeros((1, 2, 3)), [[1.0, 2.0]], 4.0)
     with pytest.raises(ad.ShapeError):
         rd.integrate_rays(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4, 3))), np.zeros((2, 3)), 4.0)
 

@@ -110,12 +110,11 @@ def test_adamw_rejects_non_finite_grads():
     assert np.array_equal(opt.m[0], np.zeros(1))
 
 
-def test_adamw_functional_wrapper_checks_binding():
+def test_adamw_step_takes_explicit_grads():
     p = Tensor(np.array([1.0]), requires_grad=True)
     opt = tr.AdamW([p], lr=1e-3)
-    with pytest.raises(ValueError):
-        tr.adamw_step(opt, params=[Tensor(np.zeros(1))])
-    assert tr.adamw_step(opt, grads=[np.array([1.0])])
+    assert opt.step([np.array([1.0])])
+    assert p.data[0] < 1.0 and opt.step_count == 1
 
 
 def vacuum_views(size=12, n_views=2):

@@ -15,28 +15,46 @@ def tri_from(plane_xy, d=None, c=None):
     return Triplane((plane_xy, np.zeros((d, d, c)), np.zeros((d, d, c))))
 
 
+def plane_coords(p, d):
+    """Continuous (u, v) of a world point on each plane, (xy, xz, yz) rows.
+
+    Read through sample_triplane from planes that store their own texel
+    coordinates: bilinear interpolation reproduces that linear ramp exactly.
+    """
+    v, u = np.meshgrid(np.arange(d, dtype=np.float64), np.arange(d, dtype=np.float64), indexing="ij")
+    ramp = np.stack([u, v], axis=-1)
+    pts = np.asarray(p, dtype=np.float64).reshape(1, 3)
+    return tp.sample_triplane(Triplane((ramp, ramp, ramp)), pts).data.reshape(3, 2)
+
+
 def test_project_point_center():
-    coords = tp.project_point(np.zeros(3), 5)
-    assert all((c.u, c.v) == (2.0, 2.0) for c in coords)
+    coords = plane_coords(np.zeros(3), 5)
+    assert np.array_equal(coords, np.full((3, 2), 2.0))
 
 
 def test_project_point_corner():
-    coords = tp.project_point(np.array([1.0, -1.0, 0.0]), 5)
-    assert (coords[0].u, coords[0].v) == (4.0, 0.0)
+    coords = plane_coords(np.array([1.0, -1.0, 0.0]), 5)
+    assert tuple(coords[0]) == (4.0, 0.0)
 
 
 def test_project_point_affine_by_hand():
     # (0.5 + 1) / 2 * (9 - 1) = 6.0 on the x axis
-    coords = tp.project_point(np.array([0.5, 0.0, 0.0]), 9)
-    assert (coords[0].u, coords[0].v) == (6.0, 4.0)
+    coords = plane_coords(np.array([0.5, 0.0, 0.0]), 9)
+    assert tuple(coords[0]) == (6.0, 4.0)
 
 
 def test_project_point_clamps_and_counts():
-    tp.reset_clamp_count()
-    coords = tp.project_point(np.array([1.5, 0.0, -2.0]), 5)
-    assert tp.clamp_count() == 2
-    assert coords[0].u == 4.0  # clamped to +1 before mapping
-    assert coords[1].v == 0.0
+    before = tp.clamp_count()
+    coords = plane_coords(np.array([1.5, 0.0, -2.0]), 5)
+    assert tp.clamp_count() - before == 2
+    assert coords[0, 0] == 4.0  # clamped to +1 before mapping
+    assert coords[1, 1] == 0.0
+
+
+def test_sample_rejects_unbatched_point():
+    tri = Triplane(tuple(np.zeros((3, 3, 1)) for _ in range(3)))
+    with pytest.raises(ValueError, match=r"\(N, 3\)"):
+        tp.sample_triplane(tri, np.zeros(3))
 
 
 def test_projection_round_trip():
@@ -50,7 +68,7 @@ def test_sample_constant_planes():
     tri = Triplane(tuple(np.full((6, 6, 2), k) for k in (3.0, 3.0, 3.0)))
     rng = np.random.default_rng(1)
     for _ in range(10):
-        f = tp.sample_triplane(tri, rng.uniform(-1, 1, size=3))
+        f = tp.sample_triplane(tri, rng.uniform(-1, 1, size=(1, 3)))
         assert np.allclose(f.data, 3.0, atol=1e-12)
 
 
@@ -62,15 +80,15 @@ def test_sample_at_grid_knot_returns_stored_pixel():
     # world point whose projections land exactly on integer grid coords
     u, v = 3, 1
     p = np.array([tp.plane_to_world(u, d), tp.plane_to_world(v, d), tp.plane_to_world(v, d)])
-    f = tp.sample_triplane(tri, p).data
+    f = tp.sample_triplane(tri, p[None]).data[0]
     assert np.allclose(f[:c], planes[0][v, u], atol=1e-12)
 
 
 def test_sample_cell_center_bilinear_average():
     plane = np.zeros((2, 2, 1))
     plane[0, 0, 0], plane[0, 1, 0], plane[1, 0, 0], plane[1, 1, 0] = 1.0, 2.0, 3.0, 4.0
-    f = tp.sample_triplane(tri_from(plane), np.array([0.0, 0.0, -1.0]))
-    assert f.data[0] == pytest.approx(2.5, abs=1e-12)
+    f = tp.sample_triplane(tri_from(plane), np.array([[0.0, 0.0, -1.0]]))
+    assert f.data[0, 0] == pytest.approx(2.5, abs=1e-12)
 
 
 def test_sampling_linear_in_plane_contents():
