@@ -1,13 +1,20 @@
 """Cross-plane orthogonal attention, text cross-attention, and the refinement stack.
 
 Each plane pixel attends into the other two planes only: all key-plane pixels
-sharing the mutual world axis coordinate, plus the discretized cross-line
-where the two planes intersect. Those two key sets always overlap at exactly
-one pixel, so a key set has 2D-1 members (D at the degenerate D=1).
+sharing the mutual world axis coordinate (the line), plus the discretized
+cross-line where the two planes intersect. Those two key sets always overlap
+at exactly one pixel, so a key set has 2D-1 members (D at the degenerate D=1).
 
-Attention over each key set is normalized separately and the two results are
-summed before the output projection; a residual connection wraps everything,
-and output projections are zero-initialized so fresh blocks are identities.
+The operator runs in axial form (Ho et al., 2019, "Axial Attention in
+Multidimensional Transformers"): all D queries that share a coordinate attend
+to the same line, so line scores are one batched matmul; all queries attend to
+the same cross-line, so its scores are one more matmul, with the overlap pixel
+masked to -inf so each key counts once. Attention over each partner's key set
+is normalized separately and the two results are summed before the output
+projection; a residual connection wraps everything, and output projections
+are zero-initialized so fresh blocks are identities. The per-pixel
+`orthogonal_attention_reference`, built on `oa_key_set`, is the independent
+oracle for it.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .autodiff import (
     relu,
     reshape,
     softmax,
+    transpose,
     tsum,
 )
 from .triplane import PLANE_AXES, PLANE_IDS, Triplane
@@ -186,102 +194,70 @@ def attention_params(rng, c_in, d_k, kv_dim=None, heads=1, zero_out=True, with_n
     )
 
 
-def _key_index_matrix(d, query_plane, key_plane, cross_line_index):
-    """Flat key indices (D*D, 2D-1) into the key plane, one row per query pixel.
-
-    Rows are ordered by flat query index v*D + u. Column order matches
-    oa_key_set (shared line, then cross-line remainder).
-    """
-    m = max(2 * d - 1, 1)
-    out = np.empty((d * d, m), dtype=np.int64)
-    for v in range(d):
-        for u in range(d):
-            ks = oa_key_set(d, query_plane, key_plane, (u, v), cross_line_index)
-            out[v * d + u] = [kv * d + ku for (ku, kv) in ks.indices]
-    return out
-
-
-_KEY_MATRIX_CACHE = {}
-
-
-def key_index_matrix(d, query_plane, key_plane, cross_line_index):
-    key = (d, query_plane, key_plane, cross_line_index)
-    if key not in _KEY_MATRIX_CACHE:
-        _KEY_MATRIX_CACHE[key] = _key_index_matrix(d, query_plane, key_plane, cross_line_index)
-    return _KEY_MATRIX_CACHE[key]
-
-
 def _maybe_norm(x, params):
     if params.ln_gamma is None:
         return x
     return layer_norm(x, params.ln_gamma, params.ln_beta)
 
 
-_STACKED_IDX_CACHE = {}
-
-
-def stacked_key_indices(d, cross_line_index, batch=1):
-    """Global row indices (batch*3*D*D, 2, 2D-1) into the plane-stacked layout.
-
-    Rows follow (xy | xz | yz) stacking per example, examples concatenated;
-    the middle axis separates the two partner key sets of each plane in
-    Eq-order. Keys never cross example boundaries.
-    """
-    cache_key = (d, cross_line_index, batch)
-    if cache_key not in _STACKED_IDX_CACHE:
-        dd = d * d
-        m = max(2 * d - 1, 1)
-        idx = np.empty((3 * dd, 2, m), dtype=np.int64)
-        for pi, pid in enumerate(PLANE_IDS):
-            for si, partner in enumerate(OA_PARTNERS[pid]):
-                block = key_index_matrix(d, pid, partner, cross_line_index)
-                idx[pi * dd:(pi + 1) * dd, si] = block + PLANE_IDS.index(partner) * dd
-        if batch > 1:
-            offs = (np.arange(batch) * 3 * dd)[:, None, None, None]
-            idx = (idx[None] + offs).reshape(batch * 3 * dd, 2, m)
-        _STACKED_IDX_CACHE[cache_key] = idx
-    return _STACKED_IDX_CACHE[cache_key]
-
-
 def stacked_orthogonal_attention(x, params, d, cross_line_index, batch=1):
     """Fused orthogonal attention on plane-stacked features (batch*3*D*D, C).
 
-    Scores over each of a pixel's two partner key sets are softmax-normalized
-    separately, the two attention results summed, projected by w_o, and added
-    residually. Returns features in the same stacked layout.
+    Each (query plane, partner) pair works on (batch*heads, D, D, d_k) arrays
+    laid out [shared coordinate s, other coordinate]. Line: the D queries with
+    shared coordinate s all attend to the D partner pixels of that s, one
+    batched matmul. Cross-line: every query attends to the same D partner
+    pixels at cross_line_index, one matmul; its key t == s is the line key the
+    two sets share and gets -inf before the softmax. One softmax over the 2D
+    scores normalizes each partner's 2D-1-key set; the two partner results are
+    summed, projected by w_o, and added residually. Returns features in the
+    same stacked layout.
     """
-    dd = d * d
-    n = batch * 3 * dd
-    m = max(2 * d - 1, 1)
-    idx = stacked_key_indices(d, cross_line_index, batch)
-
+    if not 0 <= cross_line_index < d:
+        raise ValueError(f"cross_line_index {cross_line_index} outside [0, {d - 1}]")
+    dd, dk, heads = d * d, params.d_k, params.heads
+    bh = batch * heads
     xn = _maybe_norm(x, params)
-    q = matmul(xn, params.w_q)
-    k = reshape(gather(matmul(xn, params.w_k), idx.ravel()), (n, 2, m, params.heads * params.d_k))
-    v = reshape(gather(matmul(xn, params.w_v), idx.ravel()), (n, 2, m, params.heads * params.d_k))
 
-    scale = 1.0 / np.sqrt(params.d_k)
-    head_outs = []
-    for h in range(params.heads):
-        qh = reshape(narrow(q, 1, h * params.d_k, params.d_k), (n, 1, 1, params.d_k))
-        kh = narrow(k, 3, h * params.d_k, params.d_k)
-        vh = narrow(v, 3, h * params.d_k, params.d_k)
-        qb = broadcast_to(qh, (n, 2, m, params.d_k))
-        scores = mul(tsum(mul(qb, kh), axis=3), scale)  # (N, 2, M)
-        w = softmax(scores, axis=2)  # separate normalization per key set
-        wb = broadcast_to(reshape(w, (n, 2, m, 1)), (n, 2, m, params.d_k))
-        att = tsum(tsum(mul(wb, vh), axis=2), axis=1)  # sum the two key-set results
-        head_outs.append(att)
-    acc = head_outs[0] if len(head_outs) == 1 else concat(head_outs, axis=1)
-    return add(x, matmul(acc, params.w_o))
+    def planes(w):  # per plane, (batch*heads, D, D, d_k) stored [v, u]
+        t = transpose(reshape(matmul(xn, w), (batch, 3, d, d, heads, dk)), (0, 4, 1, 2, 3, 5))
+        t = reshape(t, (bh, 3, d, d, dk))
+        return [reshape(narrow(t, 1, p, 1), (bh, d, d, dk)) for p in range(3)]
+
+    def by_shared(t, plane, s):  # [v, u] <-> [s, other]: a swap when s is the plane's u axis
+        return transpose(t, (0, 2, 1, 3)) if PLANE_AXES[plane][0] == s else t
+
+    q, k, v = planes(params.w_q), planes(params.w_k), planes(params.w_v)
+    overlap = np.zeros((d, 1, 2 * d))
+    overlap[np.arange(d), 0, d + np.arange(d)] = -np.inf  # cross-line key t == s
+    mask = Tensor(np.broadcast_to(overlap, (bh, d, d, 2 * d)))
+    scale = 1.0 / np.sqrt(dk)
+
+    def attend(pi, partner):  # (batch*heads, D, D, d_k) [v, u] result of one partner's key set
+        pid, ki = PLANE_IDS[pi], PLANE_IDS.index(partner)
+        s = shared_axis(pid, partner)
+        qs = by_shared(q[pi], pid, s)
+        ks, vs = by_shared(k[ki], partner, s), by_shared(v[ki], partner, s)
+        kc = reshape(narrow(ks, 2, cross_line_index, 1), (bh, d, dk))  # cross-line keys by t
+        vc = reshape(narrow(vs, 2, cross_line_index, 1), (bh, d, dk))
+        line = matmul(qs, transpose(ks, (0, 1, 3, 2)))  # (BH, D_s, D_o, D_t)
+        cross = reshape(matmul(reshape(qs, (bh, dd, dk)), transpose(kc, (0, 2, 1))), (bh, d, d, d))
+        w = softmax(add(mul(concat([line, cross], axis=3), scale), mask), axis=3)
+        o = add(matmul(narrow(w, 3, 0, d), vs),
+                reshape(matmul(reshape(narrow(w, 3, d, d), (bh, dd, d)), vc), (bh, d, d, dk)))
+        return by_shared(o, pid, s)
+
+    outs = [reshape(add(*(attend(pi, partner) for partner in OA_PARTNERS[pid])), (batch, heads, 1, d, d, dk))
+            for pi, pid in enumerate(PLANE_IDS)]
+    att = transpose(concat(outs, axis=2), (0, 2, 3, 4, 1, 5))  # (B, 3, D, D, heads, d_k)
+    return add(x, matmul(reshape(att, (batch * 3 * dd, heads * dk)), params.w_o))
 
 
 def orthogonal_attention(tri, params, cross_line_index=None):
     """Apply orthogonal attention to all three planes of one input triplane.
 
     Every output plane is computed from the same input (no in-place sequential
-    update). Key-set membership comes from the same enumeration the per-pixel
-    reference uses.
+    update).
     """
     d, c = tri.resolution, tri.channels
     if params.w_q.data.shape[0] != c:

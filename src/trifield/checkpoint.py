@@ -31,23 +31,32 @@ def write_named_arrays(f, magic, arrays):
         f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
+def read_exact(f, n, message):
+    """Exactly n bytes from f, or CheckpointError(message) when the file ends first."""
+    raw = f.read(n)
+    if len(raw) != n:
+        raise CheckpointError(message)
+    return raw
+
+
 def read_named_arrays(f, magic):
     got = f.read(4)
     if got != magic:
         raise CheckpointError(f"magic: expected {magic!r}, got {got!r}")
-    version, count = struct.unpack("<HI", f.read(6))
+    version, count = struct.unpack("<HI", read_exact(f, 6, "header: truncated before version/count"))
     if version != SECTION_VERSION:
         raise CheckpointError(f"version: expected {SECTION_VERSION}, got {version}")
     arrays = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", f.read(2))
-        name = f.read(name_len).decode("utf-8")
-        (ndim,) = struct.unpack("<B", f.read(1))
-        shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim))
+    for i in range(count):
+        (name_len,) = struct.unpack("<H", read_exact(f, 2, f"name: array {i} truncated before its name length"))
+        try:
+            name = read_exact(f, name_len, f"name: array {i} name truncated").decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"name: array {i} name is not valid UTF-8") from None
+        (ndim,) = struct.unpack("<B", read_exact(f, 1, f"ndim: array {name!r} truncated"))
+        shape = struct.unpack(f"<{ndim}I", read_exact(f, 4 * ndim, f"dims: array {name!r} truncated"))
         n_bytes = 4 * int(np.prod(shape, dtype=np.int64)) if ndim else 4
-        raw = f.read(n_bytes)
-        if len(raw) != n_bytes:
-            raise CheckpointError(f"payload: array {name!r} truncated")
+        raw = read_exact(f, n_bytes, f"payload: array {name!r} truncated")
         arrays[name] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
     return arrays
 

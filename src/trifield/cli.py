@@ -320,6 +320,16 @@ def cmd_render(args):
     from .render import default_bounds, render_view
 
     cfg = _load_config(args)
+    azimuths = []  # every token parsed before the first view is written
+    for token in str(args.azimuth).split(","):
+        try:
+            az = float(token)
+        except ValueError:
+            az = float("nan")
+        if not np.isfinite(az):
+            print(f"usage error: --azimuth {token.strip()!r} is not a finite number of degrees", file=sys.stderr)
+            return 2
+        azimuths.append((token.strip(), az))
     loaded = _load_checkpoint(load_fit_checkpoint, args.checkpoint)
     if loaded is None:
         return 1
@@ -328,11 +338,10 @@ def cmd_render(args):
     n = cfg["render.samples_per_ray"]
     radius = cfg["fit.orbit_radius"]
     out = cfg["out"]
-    for token in str(args.azimuth).split(","):
-        az = float(token)
+    for token, az in azimuths:
         cam = sc.orbit_camera(np.deg2rad(az), np.deg2rad(args.elevation), radius, height=size, width=size)
         view = render_view(tri, heads, cam, n)
-        tag = f"az{token.strip()}_el{args.elevation:g}"
+        tag = f"az{token}_el{args.elevation:g}"
         write_ppm(os.path.join(out, f"view_{tag}.ppm"), view.image)
         write_pgm(os.path.join(out, f"view_{tag}_mask.pgm"), view.mask)
         tn, tf = default_bounds(cam.position)

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, add, affine, concat, gather, mul, narrow, relu, reshape, tmean
 from .attention import VOCABULARY, AttentionParams, cross_attention, stacked_orthogonal_attention
-from .checkpoint import CheckpointError, read_named_arrays, write_named_arrays
+from .checkpoint import CheckpointError, read_exact, read_named_arrays, write_named_arrays
 from .training import AdamW
 from .triplane import PLANE_IDS, Triplane, plane_marginal
 
@@ -242,7 +242,7 @@ class Denoiser:
             return x
         return stacked_orthogonal_attention(x, self._attention_params(f"{name}.oa"), d, d // 2, batch=b)
 
-    def _text_attention(self, x, token_matrix, d, b):
+    def _text_attention(self, x, token_matrix, b):
         """Cross-attention of the (B*3*d*d, F) rows over each example's caption embedding."""
         emb = gather(self.params["vocab"], token_matrix.ravel())  # (B*L, d_model)
         return cross_attention(x, emb, self._attention_params("ca"), batch=b)
@@ -262,7 +262,7 @@ class Denoiser:
 
         hd = tmean(reshape(gather(h, self._idx("pool", d, b)), (b * 3 * half * half, 4, f)), axis=1)
         hd = self._resblock(hd, "rb1", temb, half, b)
-        hd = self._text_attention(hd, token_matrix, half, b)
+        hd = self._text_attention(hd, token_matrix, b)
         if cfg.use_adapters:
             hd = self._adapter(hd, "adapter1", half, b)
 
@@ -459,9 +459,7 @@ def load_denoiser(path):
         magic = f.read(4)
         if magic != DENOISER_MAGIC:
             raise CheckpointError(f"magic: expected {DENOISER_MAGIC!r}, got {magic!r}")
-        header = f.read(30)
-        if len(header) != 30:
-            raise CheckpointError("header: truncated before version/config fields")
+        header = read_exact(f, 30, "header: truncated before version/config fields")
         version, d, c, hidden, d_k, d_model, timesteps, flags = struct.unpack("<HIIIIIII", header)
         if version != DENOISER_VERSION:
             raise CheckpointError(f"version: expected {DENOISER_VERSION}, got {version}")

@@ -57,22 +57,6 @@ class Camera:
 
 
 @dataclass
-class Ray:
-    origin: np.ndarray
-    direction: np.ndarray
-    t_near: float
-    t_far: float
-
-    def __post_init__(self):
-        self.origin = np.asarray(self.origin, dtype=np.float64)
-        self.direction = np.asarray(self.direction, dtype=np.float64)
-        if abs(np.linalg.norm(self.direction) - 1.0) > 1e-9:
-            raise ValueError("ray direction must be unit length")
-        if not (0.0 <= self.t_near < self.t_far):
-            raise ValueError(f"need 0 <= t_near < t_far, got [{self.t_near}, {self.t_far}]")
-
-
-@dataclass
 class RayBundle:
     """One ray per pixel, flattened row-major; shape retains (H, W)."""
 

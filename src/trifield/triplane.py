@@ -86,15 +86,6 @@ def random_triplane(rng, d, c, scale=0.1, requires_grad=False):
     )
 
 
-def world_to_plane(coord, d):
-    """Affine map [-1, 1] -> [0, D-1]."""
-    return (coord + 1.0) * 0.5 * (d - 1)
-
-
-def plane_to_world(index, d):
-    return 2.0 * index / (d - 1) - 1.0
-
-
 def _bilinear_plane(plane, u, v, d):
     """Bilinear sample of one plane at on-tape continuous coords u, v (each (N,))."""
     c = plane.data.shape[2]

@@ -325,3 +325,73 @@ def test_refine_grad_check_depth_two():
 
     err = ad.grad_check(f, Tensor(tri.planes[0].data.copy(), requires_grad=True))
     assert err < 1e-5
+
+
+def stacked_planes(x, batch, d, c):
+    """Per-example (xy, xz, yz) numpy planes of plane-stacked rows (batch*3*D*D, C)."""
+    return [[p.reshape(d, d, c) for p in np.split(xb, 3)] for xb in np.split(x, batch)]
+
+
+@pytest.mark.parametrize("d,heads,with_norm", [(1, 1, False), (2, 1, False), (3, 1, False), (5, 1, False),
+                                                (4, 2, True)])
+def test_stacked_oa_batch_matches_reference_per_example(d, heads, with_norm):
+    batch, c = 3, 4
+    for cross in sorted({0, d // 2, d - 1}):
+        rng = np.random.default_rng(10 * d + cross)
+        params = at.attention_params(rng, c, d_k=2, heads=heads, zero_out=False, with_norm=with_norm)
+        if with_norm:
+            params.ln_gamma.data = rng.normal(size=c)
+            params.ln_beta.data = rng.normal(size=c)
+        x = rng.normal(size=(batch * 3 * d * d, c))
+        out = at.stacked_orthogonal_attention(Tensor(x), params, d, cross, batch=batch).data
+        for got, planes in zip(stacked_planes(out, batch, d, c), stacked_planes(x, batch, d, c)):
+            ref = at.orthogonal_attention_reference(planes, params, cross)
+            assert max(np.abs(g - r).max() for g, r in zip(got, ref)) < 1e-10, (d, cross)
+
+
+def test_stacked_oa_rejects_cross_line_outside_plane():
+    params = at.attention_params(np.random.default_rng(0), 2, d_k=3)
+    for cross in (-1, 3):
+        with pytest.raises(ValueError, match="cross_line_index"):
+            at.stacked_orthogonal_attention(Tensor(np.zeros((27, 2))), params, 3, cross)
+
+
+def test_stacked_oa_grad_check_batch_two():
+    rng = np.random.default_rng(12)
+    batch, d, c = 2, 3, 2
+    params = at.attention_params(rng, c, d_k=3, zero_out=False)
+    x0 = rng.normal(size=(batch * 3 * d * d, c))
+    probe = Tensor(rng.normal(size=x0.shape))
+
+    def loss(x):
+        return ad.tsum(ad.mul(at.stacked_orthogonal_attention(x, params, d, 2, batch=batch), probe))
+
+    assert ad.grad_check(loss, Tensor(x0.copy())) < 1e-6
+    for name in ("w_q", "w_k", "w_v", "w_o"):
+        w0 = getattr(params, name)
+
+        def loss_w(w, name=name):
+            setattr(params, name, w)
+            try:
+                return loss(Tensor(x0))
+            finally:
+                setattr(params, name, w0)
+
+        assert ad.grad_check(loss_w, Tensor(w0.data.copy())) < 1e-6, name
+
+
+def test_stacked_oa_degenerate_resolution_has_finite_gradients():
+    # at D=1 the only cross-line key is the masked overlap pixel
+    rng = np.random.default_rng(13)
+    batch, c = 2, 3
+    params = at.attention_params(rng, c, d_k=2, zero_out=False, requires_grad=True)
+    x = Tensor(rng.normal(size=(batch * 3, c)), requires_grad=True)
+
+    def loss(xx):
+        out = at.stacked_orthogonal_attention(xx, params, 1, 0, batch=batch)
+        return ad.tsum(ad.mul(out, out))
+
+    loss(x).backward()
+    for t in [x] + params.tensors():
+        assert t.grad is not None and np.all(np.isfinite(t.grad))
+    assert ad.grad_check(loss, Tensor(x.data.copy())) < 1e-6

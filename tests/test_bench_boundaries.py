@@ -31,10 +31,12 @@ def test_every_boundary_resolves(tracing):
 
 
 def test_positional_arguments_the_tracer_reads(tracing):
-    # Tracer._count reads the points at args[1] of sample_triplane and the
-    # resolution at args[2] of stacked_orthogonal_attention
+    # Tracer._count reads the points at args[1] of sample_triplane, and the
+    # stacked rows at args[0] and the resolution at args[2] of
+    # stacked_orthogonal_attention
     for modname, attr, position, name in (
         ("trifield.triplane", "sample_triplane", 1, "points"),
+        ("trifield.attention", "stacked_orthogonal_attention", 0, "x"),
         ("trifield.attention", "stacked_orthogonal_attention", 2, "d"),
     ):
         fn = tracing._resolve(modname, attr)[2]

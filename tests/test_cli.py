@@ -120,6 +120,21 @@ def test_diffusion_checkpoint_errors_exit_1(tmp_path, capsys, mode):
     assert not (tmp_path / "o" / "denoiser.ckpt").exists()
 
 
+def test_diffusion_sample_cut_checkpoint_exits_1(tmp_path, capsys):
+    from trifield import diffusion as df
+
+    cfgp = write_config(tmp_path / "d.cfg", TINY_DIFFUSION)
+    whole = tmp_path / "whole.ckpt"
+    df.save_denoiser(str(whole), df.Denoiser(df.DenoiserConfig(resolution=8, channels=4, hidden=8)))
+    data = whole.read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    for n in (41, 47, len(data) - 1):  # in the PRMS version/count, a name, the last payload
+        cut.write_bytes(data[:n])
+        assert run_cli("diffusion", "sample", "--config", cfgp, "--checkpoint", str(cut),
+                       "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err.startswith("checkpoint error: ")
+
+
 def test_gradcheck_numerics_passes(capsys):
     assert run_cli("gradcheck", "--scope", "numerics") == 0
     out = capsys.readouterr().out
@@ -195,6 +210,25 @@ def test_render_periodicity_and_canonical_views(tmp_path):
     a = read_ppm(os.path.join(r2, "view_az0_el20.ppm"))
     b = read_ppm(os.path.join(r3, "view_az360_el20.ppm"))
     assert np.array_equal(a, b)
+
+
+def test_render_bad_azimuth_exits_2_before_any_view(tmp_path, capsys):
+    from trifield import checkpoint as ck
+    from trifield import render as rd
+    from trifield import triplane as tp
+
+    rng = np.random.default_rng(0)
+    ckpt = str(tmp_path / "fit.ckpt")
+    ck.save_fit_checkpoint(ckpt, tp.random_triplane(rng, 4, 2), rd.init_field_heads(rng, 6, hidden=4))
+    cfgp = write_config(tmp_path / "fit.cfg", TINY_FIT)
+    out = tmp_path / "o"
+    assert run_cli("render", "--config", cfgp, "--checkpoint", ckpt, "--azimuth", "0,abc",
+                   "--size", "4", "--out", str(out)) == 2
+    assert "usage error: --azimuth 'abc'" in capsys.readouterr().err
+    assert not out.exists() or not os.listdir(out)
+    assert run_cli("render", "--config", cfgp, "--checkpoint", ckpt, "--azimuth", "0,45",
+                   "--size", "4", "--out", str(out)) == 0
+    assert sorted(f for f in os.listdir(out) if f.endswith(".ppm")) == ["view_az0_el20.ppm", "view_az45_el20.ppm"]
 
 
 def test_render_bad_checkpoint_names_field(tmp_path, capsys):

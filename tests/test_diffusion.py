@@ -295,7 +295,7 @@ def test_text_attention_is_cross_attention_over_caption_rows():
     d, b = 4, 2
     tokens = np.stack([small_dataset(2)[i].tokens for i in range(2)])
     x = Tensor(rng.normal(size=(b * 3 * d * d, den.cfg.hidden)))
-    got = den._text_attention(x, tokens, d, b)
+    got = den._text_attention(x, tokens, b)
     emb = Tensor(den.params["vocab"].data[tokens.ravel()])
     want = cross_attention(x, emb, den._attention_params("ca"), batch=b)
     assert np.array_equal(got.data, want.data)

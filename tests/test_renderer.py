@@ -6,7 +6,7 @@ from trifield import render as rd
 from trifield import scenes as sc
 from trifield import triplane as tp
 from trifield.autodiff import Tensor
-from trifield.render import Camera, Ray
+from trifield.render import Camera
 
 
 def make_camera(height=5, width=5, fov=np.pi / 2):
@@ -21,13 +21,6 @@ def test_camera_validates_orientation_and_fov():
         Camera(np.zeros(3), bad, 1.0, 4, 4)
     with pytest.raises(ValueError, match="fov"):
         Camera(np.zeros(3), np.eye(3), 4.0, 4, 4)
-
-
-def test_ray_validation():
-    with pytest.raises(ValueError):
-        Ray(np.zeros(3), np.array([1.0, 1.0, 0.0]), 0.1, 4.0)
-    with pytest.raises(ValueError):
-        Ray(np.zeros(3), np.array([1.0, 0.0, 0.0]), 2.0, 1.0)
 
 
 def test_center_pixel_ray_is_camera_forward():

@@ -58,10 +58,13 @@ def test_sample_rejects_unbatched_point():
 
 
 def test_projection_round_trip():
+    # world -> texel through sample_triplane, texel -> world by the inverse map
     rng = np.random.default_rng(0)
     for _ in range(100):
-        x = rng.uniform(-1, 1)
-        assert abs(tp.plane_to_world(tp.world_to_plane(x, 17), 17) - x) < 1e-12
+        p = rng.uniform(-1, 1, size=3)
+        u, v = plane_coords(p, 17)[0]
+        assert abs(2.0 * u / 16 - 1.0 - p[0]) < 1e-12
+        assert abs(2.0 * v / 16 - 1.0 - p[1]) < 1e-12
 
 
 def test_sample_constant_planes():
@@ -79,7 +82,7 @@ def test_sample_at_grid_knot_returns_stored_pixel():
     tri = Triplane(planes)
     # world point whose projections land exactly on integer grid coords
     u, v = 3, 1
-    p = np.array([tp.plane_to_world(u, d), tp.plane_to_world(v, d), tp.plane_to_world(v, d)])
+    p = 2.0 * np.array([u, v, v]) / (d - 1) - 1.0
     f = tp.sample_triplane(tri, p[None]).data[0]
     assert np.allclose(f[:c], planes[0][v, u], atol=1e-12)
 
