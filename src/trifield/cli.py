@@ -33,7 +33,7 @@ def _fmt(x):
 
 def _load_checkpoint(load, path):
     """`load(path)`, or None after printing the failing field (the caller exits 1)."""
-    from .triplane import CheckpointError
+    from .checkpoint import CheckpointError
 
     try:
         return load(path)

@@ -9,7 +9,6 @@ trained with the epsilon objective per plane or summed over the triplane.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,12 +16,14 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, add, affine, concat, gather, mul, narrow, relu, reshape, tmean
 from .attention import VOCABULARY, AttentionParams, cross_attention, stacked_orthogonal_attention
-from .checkpoint import CheckpointError, read_exact, read_named_arrays, write_named_arrays
+from .checkpoint import CheckpointError, Reader, write_block, write_named_arrays
 from .training import AdamW
 from .triplane import PLANE_IDS, Triplane, plane_marginal
 
 DENOISER_MAGIC = b"DNZR"
-DENOISER_VERSION = 1
+PARAMS_MAGIC = b"PRMS"
+# the DNZR block's u32 fields, then a u32 of flags: bit 0 use_adapters, bit 1 adapter_attention
+DENOISER_FIELDS = ("resolution", "channels", "hidden", "d_k", "d_model", "timesteps")
 
 
 @dataclass
@@ -133,58 +134,61 @@ class DenoiserConfig:
     adapter_attention: bool = True  # cross-plane attention inside each adapter
     seed: int = 0
 
+    def __post_init__(self):
+        for name in DENOISER_FIELDS:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.resolution % 2:
+            raise ValueError(f"resolution must be even, got {self.resolution}")
+        if self.hidden % 2:
+            raise ValueError(f"hidden must be even for the timestep embedding, got {self.hidden}")
+
+
+def _param_specs(cfg):
+    """(name, shape, zero-initialized) of every denoiser parameter, in creation order."""
+    c, f, k = cfg.channels, cfg.hidden, cfg.d_k
+    yield "vocab", (len(VOCABULARY), cfg.d_model), False
+    yield "stem.w", (9 * c, f), False
+    yield "stem.b", (f,), True
+    for name in ("rb0", "rb1", "rb2"):
+        yield f"{name}.c1.w", (9 * f, f), False
+        yield f"{name}.c1.b", (f,), True
+        yield f"{name}.c2.w", (9 * f, f), False
+        yield f"{name}.c2.b", (f,), True
+        yield f"{name}.t.w", (f, f), False
+        yield f"{name}.t.b", (f,), True
+    yield "ca.wq", (f, k), False
+    yield "ca.wk", (cfg.d_model, k), False
+    yield "ca.wv", (cfg.d_model, k), False
+    yield "ca.wo", (k, f), True
+    yield "up.w", (9 * 2 * f, f), False
+    yield "up.b", (f,), True
+    yield "head.w", (9 * f, c), True
+    yield "head.b", (c,), True
+    if cfg.use_adapters:
+        for name in ("adapter0", "adapter1"):
+            yield f"{name}.c1.w", (9 * f, f), False
+            yield f"{name}.c1.b", (f,), True
+            yield f"{name}.c2.w", (9 * f, f), True
+            yield f"{name}.c2.b", (f,), True
+            if cfg.adapter_attention:
+                yield f"{name}.oa.wq", (f, k), False
+                yield f"{name}.oa.wk", (f, k), False
+                yield f"{name}.oa.wv", (f, k), False
+                yield f"{name}.oa.wo", (k, f), True
+
 
 class Denoiser:
     """Noise predictor over stacked triplane latents."""
 
     def __init__(self, cfg):
-        if cfg.resolution % 2:
-            raise ValueError(f"resolution must be even, got {cfg.resolution}")
-        if cfg.hidden % 2:
-            raise ValueError(f"hidden must be even for the timestep embedding, got {cfg.hidden}")
         self.cfg = cfg
         self.params = {}
         self._idx_cache = {}
         rng = np.random.default_rng(cfg.seed)
-        d, c, f = cfg.resolution, cfg.channels, cfg.hidden
-
-        def p(name, shape, zero=False, scale=None):
-            if zero:
-                data = np.zeros(shape)
-            else:
-                scale = scale if scale is not None else np.sqrt(1.0 / shape[0])
-                data = rng.normal(scale=scale, size=shape)
+        for name, shape, zero in _param_specs(cfg):
+            data = np.zeros(shape) if zero else rng.normal(scale=np.sqrt(1.0 / shape[0]), size=shape)
             self.params[name] = Tensor(data, requires_grad=True)
-
-        p("vocab", (len(VOCABULARY), cfg.d_model))
-        p("stem.w", (9 * c, f))
-        p("stem.b", (f,), zero=True)
-        for name in ("rb0", "rb1", "rb2"):
-            p(f"{name}.c1.w", (9 * f, f))
-            p(f"{name}.c1.b", (f,), zero=True)
-            p(f"{name}.c2.w", (9 * f, f))
-            p(f"{name}.c2.b", (f,), zero=True)
-            p(f"{name}.t.w", (f, f))
-            p(f"{name}.t.b", (f,), zero=True)
-        p("ca.wq", (f, cfg.d_k))
-        p("ca.wk", (cfg.d_model, cfg.d_k))
-        p("ca.wv", (cfg.d_model, cfg.d_k))
-        p("ca.wo", (cfg.d_k, f), zero=True)
-        p("up.w", (9 * 2 * f, f))
-        p("up.b", (f,), zero=True)
-        p("head.w", (9 * f, c), zero=True)
-        p("head.b", (c,), zero=True)
-        if cfg.use_adapters:
-            for name in ("adapter0", "adapter1"):
-                p(f"{name}.c1.w", (9 * f, f))
-                p(f"{name}.c1.b", (f,), zero=True)
-                p(f"{name}.c2.w", (9 * f, f), zero=True)
-                p(f"{name}.c2.b", (f,), zero=True)
-                if cfg.adapter_attention:
-                    p(f"{name}.oa.wq", (f, cfg.d_k))
-                    p(f"{name}.oa.wk", (f, cfg.d_k))
-                    p(f"{name}.oa.wv", (f, cfg.d_k))
-                    p(f"{name}.oa.wo", (cfg.d_k, f), zero=True)
 
     # parameter access -------------------------------------------------
     def parameters(self):
@@ -446,30 +450,25 @@ def cross_plane_consistency(tri):
 
 def save_denoiser(path, denoiser):
     cfg = denoiser.cfg
+    flags = int(cfg.use_adapters) | (int(cfg.adapter_attention) << 1)
     with open(path, "wb") as f:
-        f.write(DENOISER_MAGIC)
-        flags = int(cfg.use_adapters) | (int(cfg.adapter_attention) << 1)
-        f.write(struct.pack("<HIIIIIII", DENOISER_VERSION, cfg.resolution, cfg.channels,
-                            cfg.hidden, cfg.d_k, cfg.d_model, cfg.timesteps, flags))
-        write_named_arrays(f, b"PRMS", {n: t.data for n, t in denoiser.params.items()})
+        write_block(f, DENOISER_MAGIC, "7I", *(getattr(cfg, name) for name in DENOISER_FIELDS), flags)
+        write_named_arrays(f, PARAMS_MAGIC, {n: t.data for n, t in denoiser.params.items()})
 
 
 def load_denoiser(path):
-    with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != DENOISER_MAGIC:
-            raise CheckpointError(f"magic: expected {DENOISER_MAGIC!r}, got {magic!r}")
-        header = read_exact(f, 30, "header: truncated before version/config fields")
-        version, d, c, hidden, d_k, d_model, timesteps, flags = struct.unpack("<HIIIIIII", header)
-        if version != DENOISER_VERSION:
-            raise CheckpointError(f"version: expected {DENOISER_VERSION}, got {version}")
-        cfg = DenoiserConfig(resolution=d, channels=c, hidden=hidden, d_k=d_k, d_model=d_model,
-                             timesteps=timesteps, use_adapters=bool(flags & 1),
+    r = Reader.from_file(path)
+    *fields, flags = r.block(DENOISER_MAGIC, "7I")
+    if flags > 3:
+        raise CheckpointError(f"header: DNZR flags {flags:#x} set bits other than 0 and 1")
+    try:
+        cfg = DenoiserConfig(**dict(zip(DENOISER_FIELDS, fields)), use_adapters=bool(flags & 1),
                              adapter_attention=bool(flags & 2))
-        denoiser = Denoiser(cfg)
-        arrays = read_named_arrays(f, b"PRMS")
+    except ValueError as exc:
+        raise CheckpointError(f"header: DNZR {exc}") from None
+    arrays = r.named_arrays(PARAMS_MAGIC, {name: shape for name, shape, _ in _param_specs(cfg)})
+    r.end()
+    denoiser = Denoiser(cfg)
     for name, tensor in denoiser.params.items():
-        if name not in arrays:
-            raise CheckpointError(f"params: missing array {name!r}")
         tensor.data = arrays[name]
     return denoiser

@@ -1,4 +1,4 @@
-"""Triplane feature maps: projection, bilinear sampling, marginals, checkpoint I/O.
+"""Triplane feature maps: projection, bilinear sampling, marginals.
 
 A triplane factors a volumetric field over the world cube [-1, 1]^3 into
 three feature planes (xy, xz, yz), each D x D x C and indexed [v, u, c]
@@ -8,7 +8,6 @@ integer indices; addressing outside a plane clamps to the edge.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,53 +154,3 @@ def plane_marginal(plane, axis, reducer):
         return arr.max(axis=ax)
     raise ValueError(f"reducer must be 'mean' or 'max', got {reducer!r}")
 
-
-# ---------------------------------------------------------------------------
-# checkpoint block: magic "TRPL", version u16, D u32, C u32,
-# then 3*D*D*C float32 little-endian, planes in order xy, xz, yz,
-# each row-major with u fastest across texels (channels contiguous per texel)
-# ---------------------------------------------------------------------------
-
-TRIPLANE_MAGIC = b"TRPL"
-TRIPLANE_VERSION = 1
-
-
-class CheckpointError(ValueError):
-    """Unreadable or mismatched checkpoint; message names the failing field."""
-
-
-def write_triplane_block(f, tri):
-    d, c = tri.resolution, tri.channels
-    f.write(TRIPLANE_MAGIC)
-    f.write(struct.pack("<HII", TRIPLANE_VERSION, d, c))
-    for p in tri.planes:
-        f.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
-
-
-def read_triplane_block(f):
-    magic = f.read(4)
-    if magic != TRIPLANE_MAGIC:
-        raise CheckpointError(f"magic: expected {TRIPLANE_MAGIC!r}, got {magic!r}")
-    header = f.read(10)
-    if len(header) != 10:
-        raise CheckpointError("header: truncated before version/D/C")
-    version, d, c = struct.unpack("<HII", header)
-    if version != TRIPLANE_VERSION:
-        raise CheckpointError(f"version: expected {TRIPLANE_VERSION}, got {version}")
-    planes = []
-    for pid in PLANE_IDS:
-        raw = f.read(4 * d * d * c)
-        if len(raw) != 4 * d * d * c:
-            raise CheckpointError(f"payload: plane {pid} truncated")
-        planes.append(np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(d, d, c))
-    return Triplane(tuple(Tensor(p) for p in planes))
-
-
-def save_triplane(path, tri):
-    with open(path, "wb") as f:
-        write_triplane_block(f, tri)
-
-
-def load_triplane(path):
-    with open(path, "rb") as f:
-        return read_triplane_block(f)

@@ -33,11 +33,14 @@ def test_every_boundary_resolves(tracing):
 def test_positional_arguments_the_tracer_reads(tracing):
     # Tracer._count reads the points at args[1] of sample_triplane, and the
     # stacked rows at args[0] and the resolution at args[2] of
-    # stacked_orthogonal_attention
+    # stacked_orthogonal_attention; the checkpoint.load hook sizes the file
+    # at args[0] of both checkpoint loaders
     for modname, attr, position, name in (
         ("trifield.triplane", "sample_triplane", 1, "points"),
         ("trifield.attention", "stacked_orthogonal_attention", 0, "x"),
         ("trifield.attention", "stacked_orthogonal_attention", 2, "d"),
+        ("trifield.checkpoint", "load_fit_checkpoint", 0, "path"),
+        ("trifield.diffusion", "load_denoiser", 0, "path"),
     ):
         fn = tracing._resolve(modname, attr)[2]
         assert list(inspect.signature(fn).parameters)[position] == name, f"{modname}.{attr}"

@@ -239,6 +239,48 @@ def test_render_bad_checkpoint_names_field(tmp_path, capsys):
     assert "magic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["plane", "head"])
+def test_render_non_finite_checkpoint_exits_1_before_any_view(tmp_path, capsys, where):
+    import struct
+
+    from trifield import checkpoint as ck
+    from trifield import render as rd
+    from trifield import triplane as tp
+
+    rng = np.random.default_rng(0)
+    heads = rd.init_field_heads(rng, 6, hidden=4)
+    if where == "head":
+        heads.s_layers[0][0].data[0, 0] = np.nan
+    ckpt = tmp_path / "fit.ckpt"
+    ck.save_fit_checkpoint(str(ckpt), tp.random_triplane(rng, 4, 2), heads)
+    if where == "plane":
+        raw = bytearray(ckpt.read_bytes())
+        raw[14:18] = struct.pack("<f", np.nan)  # the first value of the xy plane
+        ckpt.write_bytes(bytes(raw))
+    out = tmp_path / "o"
+    assert run_cli("render", "--config", write_config(tmp_path / "fit.cfg", TINY_FIT), "--checkpoint", str(ckpt),
+                   "--azimuth", "0", "--size", "4", "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("checkpoint error: payload: ")
+    assert not out.exists() or not os.listdir(out)
+
+
+def test_diffusion_sample_mismatched_header_exits_1(tmp_path, capsys):
+    import struct
+
+    from trifield import diffusion as df
+
+    ckpt = tmp_path / "d.ckpt"
+    df.save_denoiser(str(ckpt), df.Denoiser(df.DenoiserConfig(resolution=8, channels=1, hidden=8)))
+    raw = bytearray(ckpt.read_bytes())
+    raw[10:14] = struct.pack("<I", 3)  # channels 1 -> 3
+    ckpt.write_bytes(bytes(raw))
+    out = tmp_path / "o"
+    assert run_cli("diffusion", "sample", "--config", write_config(tmp_path / "d.cfg", TINY_DIFFUSION),
+                   "--checkpoint", str(ckpt), "--out", str(out)) == 1
+    assert capsys.readouterr().err.startswith("checkpoint error: shape: array 'stem.w'")
+    assert not out.exists() or not os.listdir(out)
+
+
 def test_eval_reports_psnr(tmp_path, capsys):
     cfgp = write_config(tmp_path / "fit.cfg", TINY_FIT)
     out = str(tmp_path / "run")

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -168,43 +166,3 @@ def test_triplane_shape_and_finite_validation():
     bad[0, 0, 0] = np.nan
     with pytest.raises(ValueError):
         Triplane((bad, np.zeros((3, 3, 1)), np.zeros((3, 3, 1))))
-
-
-def test_checkpoint_round_trip_is_exact_for_f32_values():
-    rng = np.random.default_rng(7)
-    planes = tuple(rng.normal(size=(4, 4, 3)).astype(np.float32).astype(np.float64) for _ in range(3))
-    tri = Triplane(planes)
-    buf = io.BytesIO()
-    tp.write_triplane_block(buf, tri)
-    buf.seek(0)
-    back = tp.read_triplane_block(buf)
-    for a, b in zip(tri.planes, back.planes):
-        assert np.array_equal(a.data, b.data)
-
-
-def test_checkpoint_layout_is_little_endian_u_fastest():
-    d, c = 2, 1
-    plane = np.array([[[1.0], [2.0]], [[3.0], [4.0]]])  # [v, u, c]
-    tri = Triplane((plane, np.zeros((d, d, c)), np.zeros((d, d, c))))
-    buf = io.BytesIO()
-    tp.write_triplane_block(buf, tri)
-    raw = buf.getvalue()
-    assert raw[:4] == b"TRPL"
-    payload = np.frombuffer(raw[14:14 + 16], dtype="<f4")
-    assert np.array_equal(payload, [1.0, 2.0, 3.0, 4.0])  # u scans fastest
-
-
-def test_checkpoint_errors_name_failing_field():
-    buf = io.BytesIO(b"NOPE" + b"\x00" * 20)
-    with pytest.raises(tp.CheckpointError, match="magic"):
-        tp.read_triplane_block(buf)
-
-    good = io.BytesIO()
-    tp.write_triplane_block(good, Triplane(tuple(np.zeros((2, 2, 1)) for _ in range(3))))
-    raw = bytearray(good.getvalue())
-    raw[4] = 9  # version
-    with pytest.raises(tp.CheckpointError, match="version"):
-        tp.read_triplane_block(io.BytesIO(bytes(raw)))
-
-    with pytest.raises(tp.CheckpointError, match="payload"):
-        tp.read_triplane_block(io.BytesIO(good.getvalue()[:-4]))
