@@ -9,17 +9,27 @@ __version__ = "0.1.0"
 
 
 def _tune_allocator():
-    """Keep large blocks on the glibc heap instead of per-allocation mmap.
+    """Keep large blocks on the glibc heap and keep the heap's freed pages.
 
-    The gradient tape holds many short-lived multi-MB arrays; without this,
-    every training step pays mmap plus kernel page-zeroing costs. Best-effort:
-    silently a no-op off glibc. Set TRIFIELD_NO_MALLOC_TUNE=1 to disable.
+    A forward pass allocates many short-lived multi-MB arrays: the gradient
+    tape while training, and intermediates that are freed as soon as the next
+    op has consumed them when no input requires grad.
+    - M_MMAP_THRESHOLD at 1 GiB serves those blocks from the heap instead of
+      a fresh mmap per allocation, which each pass would pay for in mmap
+      calls and kernel page zeroing.
+    - M_TRIM_THRESHOLD at 1 GiB stops free() from returning the top of the
+      heap to the kernel. Without it, the pages a pass frees mid-pass are
+      trimmed and then faulted back in by the next pass: thousands of minor
+      page faults per denoiser pass, none with it.
+    Best-effort: silently a no-op off glibc. Set TRIFIELD_NO_MALLOC_TUNE=1 to
+    skip both.
     """
     if os.environ.get("TRIFIELD_NO_MALLOC_TUNE"):
         return
     try:
         libc = ctypes.CDLL(None)
         libc.mallopt(-3, 1 << 30)  # M_MMAP_THRESHOLD
+        libc.mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
     except (OSError, AttributeError, TypeError):
         pass
 

@@ -5,6 +5,11 @@ plus an optional backward closure linking it to its parents. Calling
 `backward()` on a scalar output walks the graph in reverse topological
 order and accumulates `.grad` on every `requires_grad` leaf.
 
+A tensor keeps its parents and closure only if it or a parent requires
+grad, so `requires_grad` alone decides whether a tape exists: a forward pass
+over inputs that need no gradient frees each intermediate as soon as it is
+no longer referenced.
+
 Shape discipline is strict: no implicit broadcasting except scalar-by-tensor.
 Anything that needs a shape change goes through an explicit op (`reshape`,
 `broadcast_to`, `narrow`, `gather`, ...), which keeps adjoints honest.
@@ -40,8 +45,9 @@ class Tensor:
         self.data = np.asarray(data, dtype=DTYPE)
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
         self.grad = None
-        self._parents = _parents
-        self._backward = _backward
+        # no gradient can reach a node none of whose inputs requires grad
+        self._parents = _parents if self.requires_grad else ()
+        self._backward = _backward if self.requires_grad else None
         self._op = _op
 
     @property

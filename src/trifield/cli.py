@@ -420,6 +420,12 @@ def cmd_diffusion(args):
         denoiser = _load_checkpoint(df.load_denoiser, args.checkpoint)
         if denoiser is None:
             return 1
+        for field in ("resolution", "channels"):
+            have, want = getattr(denoiser.cfg, field), cfg[f"diffusion.grid_{field}"]
+            if have != want:
+                print(f"checkpoint error: denoiser {field} {have} does not match diffusion.grid_{field} {want}",
+                      file=sys.stderr)
+                return 1
 
     if args.mode == "train":
         dataset = _diffusion_dataset(cfg)

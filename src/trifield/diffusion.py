@@ -188,7 +188,7 @@ class Denoiser:
         rng = np.random.default_rng(cfg.seed)
         for name, shape, zero in _param_specs(cfg):
             data = np.zeros(shape) if zero else rng.normal(scale=np.sqrt(1.0 / shape[0]), size=shape)
-            self.params[name] = Tensor(data, requires_grad=True)
+            self.params[name] = Tensor(data)
 
     # parameter access -------------------------------------------------
     def parameters(self):
@@ -351,7 +351,9 @@ def train_denoiser(dataset, cfg, model_cfg=None, denoiser=None):
 
     With freeze_backbone=True only the adapter blocks receive updates, which
     realizes the staged schedule: first train the backbone without adapters,
-    then freeze it and train the attention-bearing adapters.
+    then freeze it and train the attention-bearing adapters. Only the trained
+    parameters require grad, and only until this returns: a frozen backbone
+    builds no tape, and the returned denoiser samples without one.
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
@@ -370,7 +372,8 @@ def train_denoiser(dataset, cfg, model_cfg=None, denoiser=None):
     opt = AdamW(trainable, lr=cfg.lr)
     result = DiffusionTrainResult(denoiser, sched)
     snapshot = [p.data.copy() for p in trainable]
-    d, c = denoiser.cfg.resolution, denoiser.cfg.channels
+    for p in trainable:
+        p.requires_grad = True
 
     for step in range(1, cfg.steps + 1):
         idx = rng.integers(0, len(dataset), size=cfg.batch)
@@ -402,6 +405,8 @@ def train_denoiser(dataset, cfg, model_cfg=None, denoiser=None):
         result.history.append(val)
         if step % cfg.snapshot_every == 0:
             snapshot = [p.data.copy() for p in trainable]
+    for p in trainable:
+        p.requires_grad = False
     return result
 
 

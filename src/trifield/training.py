@@ -151,7 +151,9 @@ def fit_scene(views, cfg=None, weights=None, log=None):
     composite loss restricted to that batch is stepped with AdamW (separate
     learning rates for plane contents and heads). Returns the parameters with
     the lowest running validation loss, where validation is a fixed random
-    probe subset of supervision rays rendered deterministically.
+    probe subset of supervision rays rendered deterministically. The planes
+    and heads require grad only while they train: the probe and the returned
+    fit build no tape.
     """
     cfg = cfg or FitConfig()
     weights = weights or LossWeights()
@@ -214,7 +216,11 @@ def fit_scene(views, cfg=None, weights=None, log=None):
         result.history.append(loss_val)
         result.steps_run = step
         if step % cfg.val_every == 0 or step == cfg.iterations:
+            for p in params:  # the probe is forward-only: no tape
+                p.requires_grad = False
             val = float(batch_loss(probe, False).data)
+            for p in params:
+                p.requires_grad = True
             if np.isfinite(val) and val < result.best_val:
                 result.best_val = val
                 best = _snapshot(params)

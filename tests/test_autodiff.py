@@ -88,6 +88,39 @@ def test_every_registered_primitive_grad_checks():
         assert err < 1e-6, f"{name}: {err:.3e}"
 
 
+def test_no_grad_inputs_build_no_tape(monkeypatch):
+    # fails at the parent, where every node kept its parents and closure
+    built = []
+    init = Tensor.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Tensor, "__init__", recording_init)
+    for name, f, x in ad.primitive_suite(seed=0):
+        built.clear()
+        out = f(Tensor(x.data.copy()))
+        assert len(built) > 2, name
+        for t in built:
+            assert not t.requires_grad, (name, t._op)
+            assert t._parents == () and t._backward is None, (name, t._op)
+        assert out in built
+
+
+def test_one_grad_input_keeps_the_tape():
+    for name, f, x in ad.primitive_suite(seed=0):
+        x = Tensor(x.data.copy(), requires_grad=True)
+        out = f(x)
+        order = ad.topo_order(out)
+        assert out.requires_grad and any(node is x for node in order), name
+        for node in order:
+            if node.requires_grad and node is not x:
+                assert node._parents and node._backward is not None, (name, node._op)
+        out.backward()
+        assert x.grad is not None and x.grad.shape == x.data.shape, name
+
+
 def test_tape_linearity_of_independent_subgraphs():
     rng = np.random.default_rng(11)
     xa = rng.normal(size=(3,))

@@ -281,6 +281,42 @@ def test_diffusion_sample_mismatched_header_exits_1(tmp_path, capsys):
     assert not out.exists() or not os.listdir(out)
 
 
+@pytest.mark.parametrize("field, have, want", [("resolution", 6, 8), ("channels", 3, 4)])
+def test_diffusion_train_checkpoint_of_other_shape_exits_1(tmp_path, capsys, field, have, want):
+    from trifield import diffusion as df
+
+    sizes = {"resolution": 8, "channels": 4, field: have}
+    ckpt = tmp_path / "other.ckpt"
+    df.save_denoiser(str(ckpt), df.Denoiser(df.DenoiserConfig(**sizes, hidden=8, d_model=8)))
+    out = tmp_path / "o"
+    assert run_cli("diffusion", "train", "--config", write_config(tmp_path / "d.cfg", TINY_DIFFUSION),
+                   "--checkpoint", str(ckpt), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error: ")
+    assert f"{field} {have}" in err and f"diffusion.grid_{field} {want}" in err
+    assert not out.exists() or not os.listdir(out)
+
+
+@pytest.mark.parametrize("mode", ["train", "sample"])
+def test_diffusion_flipped_resolution_byte_exits_1(tmp_path, capsys, mode):
+    from trifield import diffusion as df
+
+    ckpt = tmp_path / "d16.ckpt"
+    df.save_denoiser(str(ckpt), df.Denoiser(df.DenoiserConfig(resolution=16, channels=4, hidden=8, d_model=8)))
+    raw = bytearray(ckpt.read_bytes())
+    raw[7] ^= 0xFF  # resolution 16 -> 65296; no parameter shape depends on it
+    ckpt.write_bytes(bytes(raw))
+    assert df.load_denoiser(str(ckpt)).cfg.resolution == 65296
+    lines = [line for line in TINY_DIFFUSION if not line.startswith("diffusion.grid_resolution")]
+    cfgp = write_config(tmp_path / "d.cfg", lines + ["diffusion.grid_resolution = 16"])
+    out = tmp_path / "o"
+    assert run_cli("diffusion", mode, "--config", cfgp, "--checkpoint", str(ckpt), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("checkpoint error: ")
+    assert "resolution 65296" in err and "diffusion.grid_resolution 16" in err
+    assert not out.exists() or not os.listdir(out)
+
+
 def test_eval_reports_psnr(tmp_path, capsys):
     cfgp = write_config(tmp_path / "fit.cfg", TINY_FIT)
     out = str(tmp_path / "run")

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from trifield import autodiff as ad
 from trifield import diffusion as df
 from trifield import scenes as sc
 from trifield.autodiff import Tensor
@@ -160,6 +161,94 @@ def test_frozen_backbone_stage_leaves_backbone_bit_identical():
         assert np.array_equal(after[name].data, data), name
     moved = any(np.abs(after[n].data).max() > 0 for n in after if n.startswith("adapter") and n.endswith("c2.w"))
     assert moved  # adapters actually trained
+
+
+def _staged_denoiser(dataset):
+    cfg = df.DiffusionTrainConfig(steps=3, batch=2, lr=3e-3, timesteps=20, seed=0)
+    phase1 = df.train_denoiser(dataset, cfg, model_cfg=df.DenoiserConfig(
+        hidden=8, d_k=4, d_model=8, use_adapters=False, seed=0))
+    return df.with_adapters(phase1.denoiser, seed=2)
+
+
+def test_denoisers_outside_training_build_no_tape(tmp_path, monkeypatch):
+    # fails at the parent, where every denoiser parameter always required grad
+    dataset = small_dataset(2)
+    fresh = small_model(seed=2)
+    path = str(tmp_path / "d.ckpt")
+    df.save_denoiser(path, fresh)
+    loaded = df.load_denoiser(path)
+    trained = df.train_denoiser(dataset, df.DiffusionTrainConfig(steps=3, batch=2, timesteps=20),
+                                denoiser=small_model(seed=3)).denoiser
+    staged = df.train_denoiser(dataset, df.DiffusionTrainConfig(steps=3, batch=2, timesteps=20,
+                                                                freeze_backbone=True),
+                               denoiser=_staged_denoiser(dataset)).denoiser
+    for den in (fresh, loaded, trained, staged):
+        assert not any(t.requires_grad for t in den.parameters())
+        outs = []
+        forward = den._forward_stacked
+
+        def recording(*args, forward=forward, outs=outs):
+            outs.append(forward(*args))
+            return outs[-1]
+
+        monkeypatch.setattr(den, "_forward_stacked", recording)
+        df.ddpm_sample_many(den, [dataset[0].tokens, dataset[1].tokens], df.make_schedule(3),
+                            np.random.default_rng(0))
+        assert len(outs) == 3
+        for out in outs:
+            assert not out.requires_grad and out._parents == () and out._backward is None
+
+
+def test_frozen_backbone_never_gets_a_grad(monkeypatch):
+    # fails at the parent, where backward filled (and never cleared) every backbone .grad
+    from trifield.training import AdamW
+
+    dataset = small_dataset(2)
+    staged = _staged_denoiser(dataset)
+    adapters = sorted(n for n in staged.params if n.startswith("adapter"))
+    seen = []
+    step = AdamW.step
+
+    def checking_step(opt, grads=None):
+        seen.append(sorted(n for n, t in staged.params.items() if t.grad is not None))
+        assert sorted(n for n, t in staged.params.items() if t.requires_grad) == adapters
+        return step(opt, grads)
+
+    monkeypatch.setattr(AdamW, "step", checking_step)
+    cfg = df.DiffusionTrainConfig(steps=4, batch=2, lr=3e-3, timesteps=20, seed=1, freeze_backbone=True)
+    df.train_denoiser(dataset, cfg, denoiser=staged)
+    assert seen == [adapters] * 4
+    assert all(t.grad is None for t in staged.parameters())
+
+
+def test_frozen_backbone_leaves_adapter_gradients_bit_identical():
+    """Pruning the no-grad backbone from the tape keeps the order in which
+    every adapter gradient is accumulated."""
+    den = small_model(seed=5)
+    rng = np.random.default_rng(7)
+    for t in den.params.values():  # no zero-initialized block: every path carries gradient
+        if not t.data.any():
+            t.data = rng.normal(scale=0.3, size=t.data.shape)
+    dataset = small_dataset(2)
+    b, d, c = 2, den.cfg.resolution, den.cfg.channels
+    x = rng.normal(size=(b * 3 * d * d, c))
+    target = rng.normal(size=x.shape)
+    tokens = np.stack([dataset[i].tokens for i in range(b)])
+
+    def adapter_grads(with_grad):
+        for t in den.parameters():
+            t.requires_grad = any(t is w for w in with_grad)
+            t.grad = None
+        diff = ad.sub(den._forward_stacked(Tensor(x), [3, 11], tokens, b), Tensor(target))
+        ad.tmean(ad.mul(diff, diff)).backward()
+        return {n: t.grad for n, t in den.params.items() if n.startswith("adapter")}
+
+    frozen = adapter_grads(den.adapter_parameters())
+    full = adapter_grads(den.parameters())
+    assert frozen.keys() == full.keys()
+    for name in frozen:
+        assert frozen[name] is not None and np.abs(frozen[name]).max() > 0, name
+        assert np.array_equal(frozen[name], full[name]), name
 
 
 def test_freeze_requires_adapters():
