@@ -383,32 +383,6 @@ def relu(a):
     return Tensor(out_data, _parents=(a,), _backward=bwd, _op="relu")
 
 
-def clip01_unit(a, lo, hi):
-    """Clamp to [lo, hi]; gradient passes through strictly inside the interval."""
-    a = as_tensor(a)
-    out_data = np.clip(a.data, lo, hi)
-
-    def bwd(g):
-        inside = (a.data > lo) & (a.data < hi)
-        return ((a, g * inside),)
-
-    return Tensor(out_data, _parents=(a,), _backward=bwd, _op="clip")
-
-
-def scale_rows(a, s):
-    """Multiply each row of a 2-d tensor by a per-row scalar (explicit broadcast)."""
-    a, s = as_tensor(a), as_tensor(s)
-    if a.data.ndim != 2 or s.data.shape != (a.data.shape[0],):
-        raise ShapeError(f"scale_rows: need (N, C) and (N,), got {a.data.shape} and {s.data.shape}")
-    col = s.data[:, None]
-    out_data = a.data * col
-
-    def bwd(g):
-        return ((a, g * col), (s, (g * a.data).sum(axis=1)))
-
-    return Tensor(out_data, _parents=(a, s), _backward=bwd, _op="scale_rows")
-
-
 def add_rowvec(a, v):
     """Add a length-C vector to every row of an (N, C) tensor (explicit broadcast)."""
     a, v = as_tensor(a), as_tensor(v)
@@ -586,8 +560,7 @@ def primitive_suite(seed=0):
     k_cat, k_rsh, k_tr = c(3, 8), c(4, 3), c(4, 3)
     k_bc, k_nar, k_gat = c(5, 3, 4), c(3, 2), c(5, 4)
     k_sm, k_sumax, k_meanax, k_cs = c(3, 4), c(4), c(3), c(3, 4)
-    k_sumax_r = c(3)
-    ln_g, ln_b, k_ln, k_clip = c(4), c(4), c(3, 4), c(3, 4)
+    ln_g, ln_b, k_ln = c(4), c(4), c(3, 4)
     gi = np.array([2, 0, 1, 2, 2])
     pos_t = Tensor(pos / (np.abs(pos).max() * 2) + 0.5)  # safely positive for div/log
 
@@ -618,9 +591,6 @@ def primitive_suite(seed=0):
         ("mean", lambda t: tmean(mul(t, t)), _rng_inputs(rng, (3, 4))),
         ("cumsum", lambda t: tsum(mul(cumsum(t, axis=1), k_cs)), _rng_inputs(rng, (3, 4))),
         ("layer_norm", lambda t: tsum(mul(layer_norm(t, ln_g, ln_b), k_ln)), _rng_inputs(rng, (3, 4))),
-        ("scale_rows", lambda t: tsum(mul(scale_rows(t, k_sumax_r), k_mul)), _rng_inputs(rng, (3, 4))),
         ("add_rowvec", lambda t: tsum(mul(add_rowvec(t, k_sumax), k_mul)), _rng_inputs(rng, (3, 4))),
-        ("clip", lambda t: tsum(mul(clip01_unit(t, -0.9, 0.9), k_clip)),
-         Tensor(rng.uniform(-0.8, 0.8, size=(3, 4)), requires_grad=True)),
     ]
     return suite

@@ -374,39 +374,42 @@ def train_denoiser(dataset, cfg, model_cfg=None, denoiser=None):
     snapshot = [p.data.copy() for p in trainable]
     for p in trainable:
         p.requires_grad = True
-
-    for step in range(1, cfg.steps + 1):
-        idx = rng.integers(0, len(dataset), size=cfg.batch)
-        ts, xts, eps_blocks, toks = [], [], [], []
-        for i in idx:
-            ex = dataset[i]
-            t = int(rng.integers(1, cfg.timesteps + 1))
-            eps = noise_like(ex.x0, rng)
-            ts.append(t)
-            xts.append(q_sample(ex.x0, t, eps, sched))
-            eps_blocks.append(eps)
-            toks.append(ex.tokens)
-        x_stack = Tensor(stack_triplanes(xts))
-        eps_stack = stack_triplanes(eps_blocks)
-        out = denoiser._forward_stacked(x_stack, ts, np.stack(toks), cfg.batch)
-        diff = ad.sub(out, Tensor(eps_stack))
-        # equals the batch mean of per-example triplane losses: planes are
-        # co-sized, so sum-of-plane-means is 3x the mean over all entries
-        loss = mul(tmean(mul(diff, diff)), 3.0)
-        val = float(loss.data)
-        if not np.isfinite(val):
-            for p, s in zip(trainable, snapshot):
-                p.data = s
-            result.diverged = True
-            break
-        loss.backward()
-        opt.step()
-        opt.zero_grad()
-        result.history.append(val)
-        if step % cfg.snapshot_every == 0:
-            snapshot = [p.data.copy() for p in trainable]
-    for p in trainable:
-        p.requires_grad = False
+    try:
+        for step in range(1, cfg.steps + 1):
+            idx = rng.integers(0, len(dataset), size=cfg.batch)
+            ts, xts, eps_blocks, toks = [], [], [], []
+            for i in idx:
+                ex = dataset[i]
+                t = int(rng.integers(1, cfg.timesteps + 1))
+                eps = noise_like(ex.x0, rng)
+                ts.append(t)
+                xts.append(q_sample(ex.x0, t, eps, sched))
+                eps_blocks.append(eps)
+                toks.append(ex.tokens)
+            x_stack = Tensor(stack_triplanes(xts))
+            eps_stack = stack_triplanes(eps_blocks)
+            out = denoiser._forward_stacked(x_stack, ts, np.stack(toks), cfg.batch)
+            diff = ad.sub(out, Tensor(eps_stack))
+            # equals the batch mean of per-example triplane losses: planes are
+            # co-sized, so sum-of-plane-means is 3x the mean over all entries
+            loss = mul(tmean(mul(diff, diff)), 3.0)
+            val = float(loss.data)
+            if not np.isfinite(val):
+                for p, s in zip(trainable, snapshot):
+                    p.data = s
+                result.diverged = True
+                break
+            loss.backward()
+            opt.step()
+            opt.zero_grad()
+            result.history.append(val)
+            if step % cfg.snapshot_every == 0:
+                snapshot = [p.data.copy() for p in trainable]
+    finally:
+        # also on an exception: a passed-in denoiser must not keep building a tape
+        for p in trainable:
+            p.requires_grad = False
+            p.grad = None
     return result
 
 

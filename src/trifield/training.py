@@ -201,38 +201,42 @@ def fit_scene(views, cfg=None, weights=None, log=None):
 
     result = FitResult(tri, heads)
     best = _snapshot(params)
-    for step in range(1, cfg.iterations + 1):
-        idx = rng.integers(0, total, size=cfg.ray_batch)
-        loss = batch_loss(idx, cfg.stratified)
-        loss_val = float(loss.data)
-        if not np.isfinite(loss_val):
-            result.diverged = True
-            break
-        loss.backward()
-        opt_planes.step()
-        opt_heads.step()
-        opt_planes.zero_grad()
-        opt_heads.zero_grad()
-        result.history.append(loss_val)
-        result.steps_run = step
-        if step % cfg.val_every == 0 or step == cfg.iterations:
-            for p in params:  # the probe is forward-only: no tape
-                p.requires_grad = False
-            val = float(batch_loss(probe, False).data)
-            for p in params:
-                p.requires_grad = True
-            if np.isfinite(val) and val < result.best_val:
-                result.best_val = val
-                best = _snapshot(params)
-            if log is not None:
-                log(step, loss_val, val)
+    try:
+        for step in range(1, cfg.iterations + 1):
+            idx = rng.integers(0, total, size=cfg.ray_batch)
+            loss = batch_loss(idx, cfg.stratified)
+            loss_val = float(loss.data)
+            if not np.isfinite(loss_val):
+                result.diverged = True
+                break
+            loss.backward()
+            opt_planes.step()
+            opt_heads.step()
+            opt_planes.zero_grad()
+            opt_heads.zero_grad()
+            result.history.append(loss_val)
+            result.steps_run = step
+            if step % cfg.val_every == 0 or step == cfg.iterations:
+                for p in params:  # the probe is forward-only: no tape
+                    p.requires_grad = False
+                val = float(batch_loss(probe, False).data)
+                for p in params:
+                    p.requires_grad = True
+                if np.isfinite(val) and val < result.best_val:
+                    result.best_val = val
+                    best = _snapshot(params)
+                if log is not None:
+                    log(step, loss_val, val)
+    finally:
+        # also on an exception: no parameter leaves still building a tape
+        for p in params:
+            p.requires_grad = False
+            p.grad = None
 
     _restore(params, best)
     # snap to float32 so checkpoint round-trips render bit-identically
     for p in params:
         p.data = p.data.astype("<f4").astype(np.float64)
-        p.requires_grad = False
-        p.grad = None
     return result
 
 

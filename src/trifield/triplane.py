@@ -12,19 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    add,
-    as_tensor,
-    clip01_unit,
-    concat,
-    gather,
-    mul,
-    narrow,
-    reshape,
-    scale_rows,
-    sub,
-)
+from .autodiff import Tensor, as_tensor
 
 PLANE_IDS = ("xy", "xz", "yz")
 # world-axis index pair (u axis, v axis) of each plane
@@ -85,59 +73,129 @@ def random_triplane(rng, d, c, scale=0.1, requires_grad=False):
     )
 
 
-def _bilinear_plane(plane, u, v, d):
-    """Bilinear sample of one plane at on-tape continuous coords u, v (each (N,))."""
-    c = plane.data.shape[2]
-    u0 = np.clip(np.floor(u.data), 0, d - 2).astype(np.int64) if d > 1 else np.zeros(u.data.shape, np.int64)
-    v0 = np.clip(np.floor(v.data), 0, d - 2).astype(np.int64) if d > 1 else np.zeros(v.data.shape, np.int64)
-    fu = sub(u, Tensor(u0.astype(np.float64)))
-    fv = sub(v, Tensor(v0.astype(np.float64)))
-    one = Tensor(np.ones_like(u.data))
-    gu, gv = sub(one, fu), sub(one, fv)
+# points per block of the forward lookup: each block's four corner gathers
+# stay cache-resident instead of streaming (N, C) arrays through memory
+_BLOCK_ROWS = 1024
+# world axes read as u and as v by the planes in PLANE_IDS order
+_U_AXES = [PLANE_AXES[pid][0] for pid in PLANE_IDS]
+_V_AXES = [PLANE_AXES[pid][1] for pid in PLANE_IDS]
 
-    flat = reshape(plane, (d * d, c))
-    base = v0 * d + u0
+
+def _bilinear_corners(pts, d):
+    """Lower-corner rows into the stacked (3*D*D, C) table plus the bilinear fractions.
+
+    pts: (n, 3) world points. Returns (base, fu, fv), each (n, 3), one column
+    per plane. Components clamp to [-1, 1]; cells clamp so a corner never
+    leaves the plane.
+    """
+    c = np.clip(pts, -1.0, 1.0)
+    half = 0.5 * (d - 1)
+    u = (c[:, _U_AXES] + 1.0) * half
+    v = (c[:, _V_AXES] + 1.0) * half
+    if d > 1:
+        u0 = np.clip(np.floor(u), 0, d - 2).astype(np.int64)
+        v0 = np.clip(np.floor(v), 0, d - 2).astype(np.int64)
+    else:
+        u0 = v0 = np.zeros(u.shape, np.int64)
+    fu = u - u0.astype(np.float64)
+    fv = v - v0.astype(np.float64)
+    base = v0 * d + u0 + np.arange(3) * (d * d)
+    return base, fu, fv
+
+
+def _corner_weights(fu, fv):
+    gu, gv = 1.0 - fu, 1.0 - fv
+    return (gu * gv, fu * gv, gu * fv, fu * fv)
+
+
+def triplane_lookup(planes, pts):
+    """Bilinear features of three (D, D, C) planes at (N, 3) world points -> (N, 3C).
+
+    One tape node whose parents are the three planes and the points. Each
+    output row is four corner products summed in corner order 0, 1, 2, 3, the
+    same arithmetic at every block size. The backward recomputes the corners
+    from the points, and computes an adjoint only for a parent that requires
+    grad; the point adjoint passes only through components strictly inside
+    the cube.
+    """
+    planes = tuple(planes)
+    d, c = planes[0].data.shape[0], planes[0].data.shape[2]
+    table = np.concatenate([p.data.reshape(d * d, c) for p in planes])
+    p_data = pts.data
+    n = p_data.shape[0]
     shift = 1 if d > 1 else 0
-    corners = (
-        (gather(flat, base), mul(gu, gv)),
-        (gather(flat, base + shift), mul(fu, gv)),
-        (gather(flat, base + shift * d), mul(gu, fv)),
-        (gather(flat, base + shift * (d + 1)), mul(fu, fv)),
-    )
-    out = None
-    for feat, w in corners:
-        term = scale_rows(feat, w)
-        out = term if out is None else add(out, term)
-    return out
+    offsets = (0, shift, shift * d, shift * (d + 1))  # corner rows from the lower one, in summation order
+
+    out = np.empty((n, 3 * c))
+    scratch = np.empty((min(n, _BLOCK_ROWS) * 3, c))
+    for lo in range(0, n, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, n - lo)
+        base, fu, fv = _bilinear_corners(p_data[lo:lo + rows], d)
+        acc = out[lo:lo + rows].reshape(rows, 3, c)
+        term = scratch[:3 * rows].reshape(rows, 3, c)
+        for k, (off, w) in enumerate(zip(offsets, _corner_weights(fu, fv))):
+            # rows land point-major, plane-minor, which is the (rows, 3C)
+            # layout. Every row is in range by construction; mode="clip" only
+            # spares the copy through a temporary that mode="raise" makes
+            np.take(table, (base + off).ravel(), axis=0, out=scratch[:3 * rows], mode="clip")
+            if k == 0:
+                np.multiply(term, w[:, :, None], out=acc)
+            else:
+                term *= w[:, :, None]
+                acc += term
+
+    def bwd(g):
+        g = np.ascontiguousarray(g).reshape(n, 3, c)
+        base, fu, fv = _bilinear_corners(p_data, d)
+        grads = []
+        if any(p.requires_grad for p in planes):
+            lower = ((base * c)[:, :, None] + np.arange(c)).ravel()
+            flat = np.empty_like(lower)
+            wg = np.empty_like(g)
+            total = None
+            for off, w in zip(offsets, _corner_weights(fu, fv)):
+                np.add(lower, off * c, out=flat)
+                np.multiply(g, w[:, :, None], out=wg)
+                part = np.bincount(flat, weights=wg.ravel(), minlength=3 * d * d * c)
+                total = part if total is None else total + part
+            total = total.reshape(3, d, d, c)
+            grads += [(p, total[i]) for i, p in enumerate(planes) if p.requires_grad]
+        if pts.requires_grad:
+            # adjoint of each corner weight, then through w = (1-fu)(1-fv), fu(1-fv), ...
+            dw = [(g * table[base + off]).sum(axis=2) for off in offsets]
+            gu, gv = 1.0 - fu, 1.0 - fv
+            half = 0.5 * (d - 1)
+            du = ((dw[1] - dw[0]) * gv + (dw[3] - dw[2]) * fv) * half
+            dv = ((dw[2] - dw[0]) * gu + (dw[3] - dw[1]) * fu) * half
+            gp = np.zeros((n, 3))
+            for i in range(3):
+                gp[:, _U_AXES[i]] += du[:, i]
+                gp[:, _V_AXES[i]] += dv[:, i]
+            gp *= (p_data > -1.0) & (p_data < 1.0)
+            grads.append((pts, gp))
+        return tuple(grads)
+
+    return Tensor(out, _parents=planes + (pts,), _backward=bwd, _op="triplane_lookup")
 
 
 def sample_triplane(tri, points):
     """Features at world points: per-plane bilinear lookups concatenated (xy, xz, yz).
 
-    points: Tensor or array, (N, 3). Returns (N, 3C). Differentiable w.r.t.
-    both plane contents and points, away from integer grid lines. Out-of-cube
-    components clamp (counter flagged).
+    points: Tensor or array, (N, 3), finite. Returns (N, 3C), one
+    `triplane_lookup` tape node. Differentiable w.r.t. both plane contents
+    and points, away from integer grid lines. Out-of-cube components clamp
+    (counter flagged).
     """
     global _clamp_count
     pts = as_tensor(points)
     if pts.data.ndim != 2 or pts.data.shape[1] != 3:
         raise ValueError(f"points must be (N, 3), got {pts.data.shape}")
-    d = tri.resolution
+    if not np.all(np.isfinite(pts.data)):
+        raise ValueError("points contain non-finite values")
     n_out = int(np.count_nonzero((pts.data < -1.0) | (pts.data > 1.0)))
     if n_out:
         _clamp_count += n_out
-
-    n = pts.data.shape[0]
-    comps = [reshape(narrow(pts, 1, a, 1), (n,)) for a in range(3)]
-    comps = [clip01_unit(cmp, -1.0, 1.0) for cmp in comps]
-    feats = []
-    half = 0.5 * (d - 1)
-    for pid, plane in zip(PLANE_IDS, tri.planes):
-        au, av = PLANE_AXES[pid]
-        u = mul(add(comps[au], 1.0), half)
-        v = mul(add(comps[av], 1.0), half)
-        feats.append(_bilinear_plane(plane, u, v, d))
-    return concat(feats, axis=1)
+    return triplane_lookup(tri.planes, pts)
 
 
 def plane_marginal(plane, axis, reducer):

@@ -10,7 +10,10 @@ import importlib.util
 import inspect
 import os
 
+import numpy as np
 import pytest
+
+from trifield import triplane as tp
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -44,3 +47,14 @@ def test_positional_arguments_the_tracer_reads(tracing):
     ):
         fn = tracing._resolve(modname, attr)[2]
         assert list(inspect.signature(fn).parameters)[position] == name, f"{modname}.{attr}"
+
+
+def test_triplane_lookup_is_a_traced_primitive(tracing):
+    # the tracer books a primitive's backward under the span that built it, so
+    # sample_triplane's one tape node must come from a primitive it recognises
+    prims = {name for name, fn in vars(tp).items() if callable(fn) and tracing._is_primitive(fn, tp.__name__)}
+    assert "triplane_lookup" in prims
+    bwd_codes = [code for code in tp.triplane_lookup.__code__.co_consts if getattr(code, "co_name", None) == "bwd"]
+    tri = tp.random_triplane(np.random.default_rng(0), 3, 2, requires_grad=True)
+    out = tp.sample_triplane(tri, np.zeros((4, 3)))
+    assert out._backward.__code__ in bwd_codes

@@ -388,3 +388,26 @@ def test_text_attention_is_cross_attention_over_caption_rows():
     emb = Tensor(den.params["vocab"].data[tokens.ravel()])
     want = cross_attention(x, emb, den._attention_params("ca"), batch=b)
     assert np.array_equal(got.data, want.data)
+
+
+def test_train_clears_grad_flags_when_an_exception_escapes(monkeypatch):
+    # fails at the parent: the passed-in denoiser kept requiring grad and
+    # building a tape after an exception escaped the training loop
+    from trifield.training import AdamW
+
+    dataset = small_dataset(2)
+    den = small_model(seed=4)
+    step = AdamW.step
+
+    def failing_step(opt, grads=None):
+        if opt.step_count == 1:
+            raise RuntimeError("injected failure on step 2")
+        return step(opt, grads)
+
+    monkeypatch.setattr(AdamW, "step", failing_step)
+    with pytest.raises(RuntimeError, match="injected"):
+        df.train_denoiser(dataset, df.DiffusionTrainConfig(steps=5, batch=2, timesteps=20), denoiser=den)
+    for t in den.parameters():
+        assert not t.requires_grad and t.grad is None
+    out = den._forward_stacked(Tensor(np.zeros((3 * 8 * 8, 4))), [1], dataset[0].tokens[None], 1)
+    assert out._parents == () and out._backward is None

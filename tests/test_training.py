@@ -186,3 +186,22 @@ def test_fit_halts_on_divergence_with_finite_checkpoint():
     assert result.steps_run < 50
     for p in list(result.triplane.planes) + result.heads.tensors():
         assert np.all(np.isfinite(p.data))
+
+
+def test_fit_clears_grad_flags_when_an_exception_escapes(monkeypatch):
+    # fails at the parent, which cleared the flags only on a normal return
+    seen = []
+    step = tr.AdamW.step
+
+    def failing_step(opt, grads=None):
+        seen.extend(opt.params)
+        if opt.step_count == 1:
+            raise RuntimeError("injected failure on step 2")
+        return step(opt, grads)
+
+    monkeypatch.setattr(tr.AdamW, "step", failing_step)
+    with pytest.raises(RuntimeError, match="injected"):
+        tr.fit_scene(vacuum_views(), small_cfg(iterations=5))
+    assert seen
+    for p in seen:
+        assert not p.requires_grad and p.grad is None

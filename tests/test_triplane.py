@@ -166,3 +166,85 @@ def test_triplane_shape_and_finite_validation():
     bad[0, 0, 0] = np.nan
     with pytest.raises(ValueError):
         Triplane((bad, np.zeros((3, 3, 1)), np.zeros((3, 3, 1))))
+
+
+def oracle_lookup(planes, pts, g):
+    """Plain-numpy reference: per plane, a four-corner bilinear lookup and a
+    per-corner np.add.at adjoint of the output gradient g, both summed in
+    corner order 0, 1, 2, 3."""
+    d, _, c = planes[0].shape
+    x = np.clip(pts, -1.0, 1.0)
+    half = 0.5 * (d - 1)
+    s = 1 if d > 1 else 0
+    feats, grads = [], []
+    for i, (plane, pid) in enumerate(zip(planes, tp.PLANE_IDS)):
+        au, av = tp.PLANE_AXES[pid]
+        u = (x[:, au] + 1.0) * half
+        v = (x[:, av] + 1.0) * half
+        if d > 1:
+            u0 = np.clip(np.floor(u), 0, d - 2).astype(np.int64)
+            v0 = np.clip(np.floor(v), 0, d - 2).astype(np.int64)
+        else:
+            u0 = v0 = np.zeros(len(u), np.int64)
+        fu, fv = u - u0, v - v0
+        gu, gv = 1.0 - fu, 1.0 - fv
+        corners = ((v0, u0, gu * gv), (v0, u0 + s, fu * gv), (v0 + s, u0, gu * fv), (v0 + s, u0 + s, fu * fv))
+        gp = g[:, i * c:(i + 1) * c]
+        feat, grad = None, None
+        for vi, ui, w in corners:
+            term = plane[vi, ui] * w[:, None]
+            feat = term if feat is None else feat + term
+            part = np.zeros_like(plane)
+            np.add.at(part, (vi, ui), gp * w[:, None])
+            grad = part if grad is None else grad + part
+        feats.append(feat)
+        grads.append(grad)
+    return np.concatenate(feats, axis=1), grads
+
+
+@pytest.mark.parametrize("d, c, n, reach, block", [
+    (32, 16, 12288, 1.0 / 0.6, None),  # ~40% of components outside the cube
+    (32, 16, 3 * tp._BLOCK_ROWS + 17, 1.2, None),
+    (6, 3, 3 * 5 + 17, 1.2, 5),
+    (32, 16, 0, 1.2, None),
+    (32, 16, 1, 1.2, None),
+    (2, 4, 500, 1.3, None),
+    (1, 4, 300, 1.3, None),
+])
+def test_lookup_bit_identical_to_numpy_oracle(monkeypatch, d, c, n, reach, block):
+    if block is not None:
+        monkeypatch.setattr(tp, "_BLOCK_ROWS", block)
+    rng = np.random.default_rng(d * 1000 + n)
+    planes = [rng.normal(size=(d, d, c)) for _ in range(3)]
+    pts = rng.uniform(-reach, reach, size=(n, 3))
+    probe = rng.normal(size=(n, 3 * c))
+    tri = Triplane(tuple(Tensor(p.copy(), requires_grad=True) for p in planes))
+    feat = tp.sample_triplane(tri, pts)
+    ad.tsum(ad.mul(feat, Tensor(probe))).backward()
+    want_feat, want_grads = oracle_lookup(planes, pts, probe)
+    assert np.array_equal(feat.data, want_feat)
+    for got, want in zip(tri.planes, want_grads):
+        assert np.array_equal(got.grad, want)
+
+
+def test_lookup_returns_adjoints_only_for_parents_that_require_grad():
+    rng = np.random.default_rng(8)
+    d, c, n = 4, 2, 7
+    g = rng.normal(size=(n, 3 * c))
+    planes = [Tensor(rng.normal(size=(d, d, c)), requires_grad=True) for _ in range(3)]
+    planes[1].requires_grad = False
+    pts = Tensor(rng.uniform(-0.9, 0.9, size=(n, 3)))
+    got = tp.triplane_lookup(planes, pts)._backward(g)
+    assert [t for t, _ in got] == [planes[0], planes[2]]  # no point adjoint, none for plane 1
+    frozen = [Tensor(p.data) for p in planes]
+    moving = Tensor(pts.data, requires_grad=True)
+    got = tp.triplane_lookup(frozen, moving)._backward(g)
+    assert [t for t, _ in got] == [moving]
+    assert got[0][1].shape == (n, 3)
+
+
+def test_sample_rejects_non_finite_points():
+    tri = Triplane(tuple(np.zeros((3, 3, 1)) for _ in range(3)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            tp.sample_triplane(tri, np.array([[0.0, bad, 0.0]]))
