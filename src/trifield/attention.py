@@ -26,16 +26,15 @@ import numpy as np
 from .autodiff import (
     Tensor,
     add,
-    affine,
     as_tensor,
     broadcast_to,
     concat,
     gather,
     layer_norm,
     matmul,
+    mlp,
     mul,
     narrow,
-    relu,
     reshape,
     softmax,
     transpose,
@@ -404,11 +403,11 @@ def refine_params(rng, c, d_k, d_model, depth, hidden=None, heads=1, requires_gr
 
 def _pixel_mlp(tri, block):
     d, c = tri.resolution, tri.channels
+    layers = [(block.mlp_w1, block.mlp_b1), (block.mlp_w2, block.mlp_b2)]
     out = []
     for p in tri.planes:
         x = reshape(p, (d * d, c))
-        h = relu(affine(layer_norm(x, block.mlp_gamma, block.mlp_beta), block.mlp_w1, block.mlp_b1))
-        out.append(reshape(add(x, affine(h, block.mlp_w2, block.mlp_b2)), (d, d, c)))
+        out.append(reshape(add(x, mlp(layer_norm(x, block.mlp_gamma, block.mlp_beta), layers)), (d, d, c)))
     return Triplane(tuple(out))
 
 

@@ -501,6 +501,60 @@ def affine(x, w, b):
     return add(y, broadcast_to(reshape(b, shp), y.data.shape))
 
 
+def mlp(x, layers):
+    """Relu MLP over (w, b) pairs on an (N, C) input, as one tape node.
+
+    The same arithmetic as `matmul` -> `add_rowvec` per layer with `relu`
+    between layers, done in place on one buffer per layer. Only the post-relu
+    activations are kept: `post > 0` is the mask of `pre > 0`. The backward
+    takes the matmul, add_rowvec and relu adjoints in the chain's order, and
+    computes an adjoint only for a parent that requires grad.
+    """
+    x = as_tensor(x)
+    layers = [(as_tensor(w), as_tensor(b)) for w, b in layers]
+    if x.data.ndim != 2 or not layers:
+        raise ShapeError(f"mlp: need an (N, C) input and at least one layer, got {x.data.shape} and {len(layers)}")
+    width = x.data.shape[1]
+    for i, (w, b) in enumerate(layers):
+        if w.data.ndim != 2 or w.data.shape[0] != width or b.data.shape != (w.data.shape[1],):
+            raise ShapeError(
+                f"mlp: layer {i} needs a ({width}, K) weight and a (K,) bias, got {w.data.shape} and {b.data.shape}"
+            )
+        width = w.data.shape[1]
+    acts = [x.data]  # input of each layer
+    h = x.data
+    for i, (w, b) in enumerate(layers):
+        h = h @ w.data
+        h += b.data
+        if i + 1 < len(layers):
+            np.maximum(h, 0.0, out=h)
+            acts.append(h)
+    # whether an adjoint must reach the input of layer i
+    need_in = [x.requires_grad]
+    for w, b in layers[:-1]:
+        need_in.append(need_in[-1] or w.requires_grad or b.requires_grad)
+
+    def bwd(g):
+        grads = []
+        for i in reversed(range(len(layers))):
+            w, b = layers[i]
+            if b.requires_grad:
+                grads.append((b, g.sum(axis=0)))
+            if w.requires_grad:
+                grads.append((w, acts[i].T @ g))
+            if not need_in[i]:
+                break
+            g = g @ w.data.T
+            if i > 0:
+                g = g * (acts[i] > 0.0)
+        if x.requires_grad:
+            grads.append((x, g))
+        return tuple(grads)
+
+    parents = (x,) + tuple(t for pair in layers for t in pair)
+    return Tensor(h, _parents=parents, _backward=bwd, _op="mlp")
+
+
 # ---------------------------------------------------------------------------
 # finite-difference checking
 # ---------------------------------------------------------------------------
@@ -593,4 +647,8 @@ def primitive_suite(seed=0):
         ("layer_norm", lambda t: tsum(mul(layer_norm(t, ln_g, ln_b), k_ln)), _rng_inputs(rng, (3, 4))),
         ("add_rowvec", lambda t: tsum(mul(add_rowvec(t, k_sumax), k_mul)), _rng_inputs(rng, (3, 4))),
     ]
+    # drawn after the entries above, so their inputs do not depend on this one
+    k_mlp = [(c(4, 5), c(5)), (c(5, 2), c(2))]
+    k_mlp_out = c(3, 2)
+    suite.append(("mlp", lambda t: tsum(mul(mlp(t, k_mlp), k_mlp_out)), _rng_inputs(rng, (3, 4))))
     return suite

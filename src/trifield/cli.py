@@ -123,6 +123,7 @@ def _renderer_entries(rng):
     sig0 = ad.Tensor(rng.normal(size=(3, 6)), requires_grad=True)
     pos = np.array([2.5, 0.4, 0.8])
     cam = rd.Camera(pos, look_at_origin(pos), 1.1, 4, 4)
+    probe_rgb = ad.Tensor(rng.normal(size=(5, 3)))
 
     def with_plane(x):
         return tp.Triplane((ad.reshape(x, (d, d, c)), tri.planes[1], tri.planes[2]))
@@ -136,6 +137,16 @@ def _renderer_entries(rng):
     def sigma_loss(x):
         sigma, _ = rd.field_eval_batch(with_plane(x), heads, pts)
         return ad.tsum(sigma)
+
+    def head_w0_loss(x):
+        (_, b0), *rest = heads.s_layers
+        sigma, _ = rd.field_eval_batch(tri, rd.FieldHeads([(x, b0)] + rest, heads.c_layers), pts)
+        return ad.tsum(sigma)
+
+    def head_bias_loss(x):
+        *rest, (w_last, _) = heads.c_layers
+        _, color = rd.field_eval_batch(tri, rd.FieldHeads(heads.s_layers, rest + [(w_last, x)]), pts)
+        return ad.tsum(ad.mul(color, probe_rgb))
 
     def integrate_loss(x):
         rgb, mask, depth = rd.integrate_rays(ad.softplus(x), cols, ts, 4.0)
@@ -152,6 +163,10 @@ def _renderer_entries(rng):
     return [
         ("renderer.sample_triplane", 1e-6, on_plane(samp_loss)),
         ("renderer.field_eval_sigma", 1e-5, on_plane(sigma_loss)),
+        ("renderer.field_eval_sigma_w0", 1e-5,
+         lambda: ad.grad_check(head_w0_loss, ad.Tensor(heads.s_layers[0][0].data.copy()))),
+        ("renderer.field_eval_color_bias", 1e-6,
+         lambda: ad.grad_check(head_bias_loss, ad.Tensor(heads.c_layers[-1][1].data.copy()))),
         ("renderer.integrate_ray", 1e-6, lambda: ad.grad_check(integrate_loss, sig0)),
         ("renderer.render_loss_path", 1e-4, on_plane(render_loss_fn)),
     ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, add, affine, concat, mul, relu, reshape, sigmoid, softplus, sub, tsum
+from .autodiff import Tensor, add, concat, mlp, mul, reshape, sigmoid, softplus, sub, tsum
 from .triplane import sample_triplane
 
 SQRT3 = float(np.sqrt(3.0))
@@ -128,7 +128,7 @@ class FieldHeads:
 def init_field_heads(rng, feat_dim, hidden=32, depth=2, n_freqs=0, density_bias=-1.0, requires_grad=False):
     in_dim = 3 * (1 + 2 * n_freqs) + feat_dim
 
-    def mlp(out_dim, out_bias):
+    def head(out_dim, out_bias):
         layers, last = [], in_dim
         for _ in range(depth - 1):
             layers.append((
@@ -142,7 +142,7 @@ def init_field_heads(rng, feat_dim, hidden=32, depth=2, n_freqs=0, density_bias=
         ))
         return layers
 
-    return FieldHeads(s_layers=mlp(1, density_bias), c_layers=mlp(3, 0.0), n_freqs=n_freqs)
+    return FieldHeads(s_layers=head(1, density_bias), c_layers=head(3, 0.0), n_freqs=n_freqs)
 
 
 def encode_positions(points, n_freqs):
@@ -157,23 +157,14 @@ def encode_positions(points, n_freqs):
     return concat(parts, axis=1)
 
 
-def _mlp_forward(x, layers):
-    h = x
-    for i, (w, b) in enumerate(layers):
-        h = affine(h, w, b)
-        if i + 1 < len(layers):
-            h = relu(h)
-    return h
-
-
 def field_eval_batch(tri, heads, points):
-    """(sigma (N,), color (N, 3)) Tensors at a batch of world points."""
+    """(sigma (N,), color (N, 3)) Tensors at a batch of world points; each head is one `mlp` node."""
     pts = ad.as_tensor(points)
     n = pts.data.shape[0]
     feat = sample_triplane(tri, pts)
     x = concat([encode_positions(pts, heads.n_freqs), feat], axis=1)
-    sigma = reshape(softplus(_mlp_forward(x, heads.s_layers)), (n,))
-    color = sigmoid(_mlp_forward(x, heads.c_layers))
+    sigma = reshape(softplus(mlp(x, heads.s_layers)), (n,))
+    color = sigmoid(mlp(x, heads.c_layers))
     return sigma, color
 
 
@@ -227,8 +218,16 @@ class RenderOutput:
     depth: object
 
 
-def render_view(tri, heads, cam, n, stratified=False, rng=None, t_near=None, t_far=None, chunk=2048):
-    """Full-frame render; deterministic when stratified is False."""
+def render_view(tri, heads, cam, n, stratified=False, rng=None, t_near=None, t_far=None, chunk=256):
+    """Full-frame render; deterministic when stratified is False.
+
+    Rays go through the field `chunk` at a time, so a chunk's head
+    activations (chunk * n rows) stay near the size of a core's L2 cache. A
+    pixel does not depend on the chunk, except that BLAS may pick another
+    matmul kernel for a chunk of few rows (a ~1e-16 drift).
+    """
+    if isinstance(chunk, bool) or not isinstance(chunk, (int, np.integer)) or chunk < 1:
+        raise ValueError(f"render_view: chunk must be an int >= 1, got {chunk!r}")
     bundle = generate_rays(cam, t_near, t_far)
     h, w = bundle.shape
     total = h * w

@@ -178,3 +178,103 @@ def test_layer_norm_normalizes_last_axis():
     out = ad.layer_norm(x, Tensor(np.ones(8)), Tensor(np.zeros(8)))
     assert np.abs(out.data.mean(axis=-1)).max() < 1e-12
     assert np.abs(out.data.std(axis=-1) - 1.0).max() < 1e-3  # eps-regularized
+
+
+def _mlp_case(rng, depth, n=9, widths=(5, 7, 4, 3)):
+    x = rng.normal(size=(n, widths[0]))
+    layers = [(rng.normal(size=(widths[i], widths[i + 1])), rng.normal(size=widths[i + 1])) for i in range(depth)]
+    probe = rng.normal(size=(n, widths[depth]))
+    return x, layers, probe
+
+
+def _mlp_run(use_node, x, layers, probe, grad_mask):
+    """Forward and gradients of sum(mlp(x) * probe); grad_mask flags x, then each w and b in order."""
+    flags = iter(grad_mask)
+    xt = Tensor(x, requires_grad=next(flags))
+    lt = [(Tensor(w, requires_grad=next(flags)), Tensor(b, requires_grad=next(flags))) for w, b in layers]
+    if use_node:
+        out = ad.mlp(xt, lt)
+    else:
+        out = xt
+        for i, (w, b) in enumerate(lt):
+            out = ad.add_rowvec(ad.matmul(out, w), b)
+            if i + 1 < len(lt):
+                out = ad.relu(out)
+    leaves = [xt] + [t for pair in lt for t in pair]
+    if out.requires_grad:
+        ad.tsum(ad.mul(out, Tensor(probe))).backward()
+    return out.data, [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_mlp_node_is_bit_identical_to_the_composed_chain(depth):
+    rng = np.random.default_rng(20 + depth)
+    x, layers, probe = _mlp_case(rng, depth)
+    n_leaves = 1 + 2 * depth
+    masks = [(True,) * n_leaves, (False,) * n_leaves]
+    masks += [tuple(j == k for j in range(n_leaves)) for k in range(n_leaves)]  # one grad leaf at a time
+    for mask in masks:
+        got_out, got_grads = _mlp_run(True, x, layers, probe, mask)
+        want_out, want_grads = _mlp_run(False, x, layers, probe, mask)
+        assert np.array_equal(got_out, want_out), mask
+        for k, (got, want) in enumerate(zip(got_grads, want_grads)):
+            assert (got is None) == (want is None), (mask, k)
+            assert got is None or np.array_equal(got, want), (mask, k)
+
+
+def test_mlp_returns_adjoints_only_for_parents_that_require_grad():
+    rng = np.random.default_rng(30)
+    x, layers, _ = _mlp_case(rng, 3)
+    xt = Tensor(x)
+    lt = [(Tensor(w), Tensor(b)) for w, b in layers]
+    lt[0][0].requires_grad = True  # the first weight needs the adjoint to flow through every layer
+    lt[2][1].requires_grad = True
+    out = ad.mlp(xt, lt)
+    returned = []
+    closure = out._backward
+
+    def wrapped(g):
+        pairs = closure(g)
+        returned.extend(t for t, _ in pairs)
+        return pairs
+
+    out._backward = wrapped
+    ad.tsum(out).backward()
+    assert len(returned) == 2
+    assert {id(t) for t in returned} == {id(lt[0][0]), id(lt[2][1])}
+    assert lt[0][0].grad is not None and lt[0][1].grad is None and xt.grad is None
+    frozen = ad.mlp(Tensor(x, requires_grad=True), [(Tensor(w), Tensor(b)) for w, b in layers])
+    got = frozen._backward(np.ones(frozen.data.shape))
+    assert [t for t, _ in got] == [frozen._parents[0]]
+
+
+@pytest.mark.parametrize("bad_layer", [0, 2])
+def test_mlp_rejects_a_mis_chained_layer_before_any_matmul(bad_layer):
+    calls = []
+
+    class Recording(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            calls.append(ufunc.__name__)
+            inputs = [np.asarray(a) for a in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    def recorded_layers(bad=None):
+        lt = [(Tensor(w), Tensor(b)) for w, b in layers]
+        w, b = lt[bad_layer]
+        if bad == "width":
+            w.data = w.data[:-1]
+        elif bad == "bias":
+            b.data = b.data[:-1]
+        for wt, _ in lt:
+            wt.data = wt.data.view(Recording)
+        calls.clear()
+        return lt
+
+    rng = np.random.default_rng(31)
+    x, layers, _ = _mlp_case(rng, 3)
+    for bad in ("width", "bias"):
+        with pytest.raises(ad.ShapeError, match=f"mlp: layer {bad_layer}"):
+            ad.mlp(Tensor(x), recorded_layers(bad))
+        assert calls == []
+    assert ad.mlp(Tensor(x), recorded_layers()).data.shape == (9, 3)
+    assert calls.count("matmul") == 3  # the recorder does see the forward's matmuls

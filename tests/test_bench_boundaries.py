@@ -58,3 +58,22 @@ def test_triplane_lookup_is_a_traced_primitive(tracing):
     tri = tp.random_triplane(np.random.default_rng(0), 3, 2, requires_grad=True)
     out = tp.sample_triplane(tri, np.zeros((4, 3)))
     assert out._backward.__code__ in bwd_codes
+
+
+def test_mlp_is_a_traced_primitive(tracing):
+    # render.heads_bwd_ms books the heads' backward only if each head's one
+    # tape node comes from a primitive the tracer recognises
+    from trifield import autodiff as ad
+    from trifield import render as rd
+
+    prims = {name for name, fn in vars(ad).items() if callable(fn) and tracing._is_primitive(fn, ad.__name__)}
+    assert "mlp" in prims
+    bwd_codes = [code for code in ad.mlp.__code__.co_consts if getattr(code, "co_name", None) == "bwd"]
+    rng = np.random.default_rng(0)
+    tri = tp.random_triplane(rng, 3, 2)
+    heads = rd.init_field_heads(rng, 6, hidden=4, depth=2, requires_grad=True)
+    sigma, color = rd.field_eval_batch(tri, heads, np.zeros((4, 3)))
+    nodes = [node for out in (sigma, color) for node in ad.topo_order(out) if node._op == "mlp"]
+    assert len(nodes) == 2
+    for node in nodes:
+        assert node._backward.__code__ in bwd_codes

@@ -163,6 +163,12 @@ def test_gradcheck_fault_injection_fails_and_names_op(capsys):
     capsys.readouterr()
 
 
+def test_gradcheck_fault_injection_in_the_mlp_node_fails(capsys):
+    assert run_cli("gradcheck", "--scope", "numerics", "--inject-fault", "mlp") == 1
+    failed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if line.endswith("FAIL")]
+    assert failed == ["numerics.mlp"]  # numerics.mlp_head composes matmul, add_rowvec and relu
+
+
 def test_fit_writes_outputs_and_vacuum_collapses(tmp_path):
     # the vacuum target drives mean density below 1e-3 within 500 steps
     cfgp = write_config(tmp_path / "fit.cfg",

@@ -201,6 +201,19 @@ def test_render_view_deterministic():
     assert np.array_equal(a.image, c.image)
 
 
+def test_render_view_rejects_a_bad_chunk():
+    # chunk=-5 returned the uninitialised frame buffers; chunk=0 failed inside range()
+    rng = np.random.default_rng(7)
+    tri = tp.random_triplane(rng, 4, 2, scale=0.5)
+    heads = rd.init_field_heads(rng, 6, hidden=8, depth=2)
+    cam = make_camera(3, 3, fov=1.2)
+    for bad in (-5, 0, 2.0, True, None):
+        with pytest.raises(ValueError, match="chunk"):
+            rd.render_view(tri, heads, cam, 8, chunk=bad)
+    assert np.array_equal(rd.render_view(tri, heads, cam, 8, chunk=np.int64(1)).image,
+                          rd.render_view(tri, heads, cam, 8).image)
+
+
 def test_fitted_sphere_render_matches_fine_oracle():
     # fit the analytic sphere from 6 orbit views, then compare a held-out
     # 32x32 render at n = 128 against the n = 2048 oracle
