@@ -413,8 +413,9 @@ def _train_cfgs(cfg, use_oa):
         seed=cfg["seed"],
     )
     model_cfg = df.DenoiserConfig(
+        resolution=cfg["diffusion.grid_resolution"], channels=cfg["diffusion.grid_channels"],
         hidden=cfg["diffusion.hidden"], d_k=cfg["diffusion.d_k"], d_model=cfg["diffusion.d_model"],
-        use_adapters=True, adapter_attention=use_oa, seed=cfg["seed"],
+        timesteps=cfg["diffusion.timesteps"], use_adapters=True, adapter_attention=use_oa, seed=cfg["seed"],
     )
     return train_cfg, model_cfg
 
@@ -423,10 +424,19 @@ def cmd_diffusion(args):
     import numpy as np
 
     from . import diffusion as df
+    from .config import ConfigError
 
     cfg = _load_config(args)
     out = cfg["out"]
     rng = np.random.default_rng(cfg["seed"])
+    for key in ("diffusion.batch", "diffusion.sample_chunk", "diffusion.samples", "diffusion.dataset_size"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
+    try:  # every model and schedule value is checked before a dataset is built or a file written
+        sched = df.make_schedule(cfg["diffusion.timesteps"], cfg["diffusion.beta_start"], cfg["diffusion.beta_end"])
+        train_cfg, model_cfg = _train_cfgs(cfg, cfg["diffusion.use_oa"])
+    except ValueError as exc:
+        raise ConfigError(f"diffusion: {exc}") from None
     if args.mode == "sample" and not args.checkpoint:
         print("usage error: diffusion sample needs --checkpoint", file=sys.stderr)
         return 2
@@ -444,7 +454,6 @@ def cmd_diffusion(args):
 
     if args.mode == "train":
         dataset = _diffusion_dataset(cfg)
-        train_cfg, model_cfg = _train_cfgs(cfg, cfg["diffusion.use_oa"])
         if denoiser is not None and train_cfg.freeze_backbone and not denoiser.cfg.use_adapters:
             denoiser = df.with_adapters(denoiser, seed=cfg["seed"])
         result = df.train_denoiser(dataset, train_cfg, model_cfg=model_cfg, denoiser=denoiser)
@@ -456,7 +465,6 @@ def cmd_diffusion(args):
         return 1 if result.diverged else 0
 
     if args.mode == "sample":
-        sched = df.make_schedule(cfg["diffusion.timesteps"], cfg["diffusion.beta_start"], cfg["diffusion.beta_end"])
         dataset = _diffusion_dataset(cfg)
         n = cfg["diffusion.samples"]
         toks = [dataset[i % len(dataset)].tokens for i in range(n)]
@@ -473,7 +481,6 @@ def cmd_diffusion(args):
 
     if args.mode == "ablate":
         dataset = _diffusion_dataset(cfg)
-        sched = df.make_schedule(cfg["diffusion.timesteps"], cfg["diffusion.beta_start"], cfg["diffusion.beta_end"])
         n = cfg["diffusion.samples"]
         toks = [dataset[i % len(dataset)].tokens for i in range(n)]
         scores = {}

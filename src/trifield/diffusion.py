@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, add, affine, concat, gather, mul, narrow, relu, reshape, tmean
+from .autodiff import (Tensor, add, affine, broadcast_to, concat, gather, mul, narrow, patches3x3, relu, reshape,
+                       tmean, transpose)
 from .attention import VOCABULARY, AttentionParams, cross_attention, stacked_orthogonal_attention
 from .checkpoint import CheckpointError, Reader, write_block, write_named_arrays
 from .training import AdamW
@@ -75,43 +76,18 @@ def noise_like(tri, rng):
 # denoiser
 # ---------------------------------------------------------------------------
 
-def _conv_indices(d):
-    """Clamp-to-edge 3x3 im2col indices for three stacked d x d planes."""
-    out = []
-    for p in range(3):
-        base = p * d * d
-        for v in range(d):
-            for u in range(d):
-                for dv in (-1, 0, 1):
-                    for du in (-1, 0, 1):
-                        vv = min(max(v + dv, 0), d - 1)
-                        uu = min(max(u + du, 0), d - 1)
-                        out.append(base + vv * d + uu)
-    return np.array(out, dtype=np.int64)
+def _pool(x, half):
+    """Mean of each 2x2 block of stacked (2*half)^2 grids: (G*4*half*half, F) -> (G*half*half, F)."""
+    f = x.data.shape[1]
+    blocks = transpose(reshape(x, (-1, half, 2, half, 2, f)), (0, 1, 3, 2, 4, 5))
+    return tmean(reshape(blocks, (-1, 4, f)), axis=1)
 
 
-def _pool_indices(d):
-    half = d // 2
-    out = []
-    for p in range(3):
-        base = p * d * d
-        for v in range(half):
-            for u in range(half):
-                for dv in (0, 1):
-                    for du in (0, 1):
-                        out.append(base + (2 * v + dv) * d + (2 * u + du))
-    return np.array(out, dtype=np.int64)
-
-
-def _upsample_indices(d_coarse):
-    d = 2 * d_coarse
-    out = []
-    for p in range(3):
-        base = p * d_coarse * d_coarse
-        for v in range(d):
-            for u in range(d):
-                out.append(base + (v // 2) * d_coarse + (u // 2))
-    return np.array(out, dtype=np.int64)
+def _upsample(x, half):
+    """Nearest 2x upsampling of stacked half x half grids: (G*half*half, F) -> (G*4*half*half, F)."""
+    g, f = x.data.shape[0] // (half * half), x.data.shape[1]
+    cells = broadcast_to(reshape(x, (g, half, 1, half, 1, f)), (g, half, 2, half, 2, f))
+    return reshape(cells, (4 * x.data.shape[0], f))
 
 
 def timestep_features(t, dim, timesteps):
@@ -184,7 +160,6 @@ class Denoiser:
     def __init__(self, cfg):
         self.cfg = cfg
         self.params = {}
-        self._idx_cache = {}
         rng = np.random.default_rng(cfg.seed)
         for name, shape, zero in _param_specs(cfg):
             data = np.zeros(shape) if zero else rng.normal(scale=np.sqrt(1.0 / shape[0]), size=shape)
@@ -203,35 +178,16 @@ class Denoiser:
     def trainable_parameters(self, freeze_backbone=False):
         return self.adapter_parameters() if freeze_backbone else self.parameters()
 
-    # index plumbing: every spatial op is a precomputed gather over the
-    # plane-stacked layout, batched by offsetting the pattern per example.
-    # For every kind the per-example source stride is 3*d*d rows, with d the
-    # resolution of the gather's SOURCE grid.
-    def _idx(self, kind, d, b):
-        key = (kind, d, b)
-        if key not in self._idx_cache:
-            if kind == "rows":
-                idx = np.repeat(np.arange(b), 3 * d * d)
-            else:
-                base = {"conv": _conv_indices, "pool": _pool_indices, "up": _upsample_indices}[kind](d)
-                idx = base if b == 1 else (base[None, :] + (np.arange(b) * 3 * d * d)[:, None]).ravel()
-            self._idx_cache[key] = idx
-        return self._idx_cache[key]
-
     # forward pieces ---------------------------------------------------
-    def _conv_named(self, x, name, d, b):
-        idx = self._idx("conv", d, b)
-        n = b * 3 * d * d
-        cols = reshape(gather(x, idx), (n, 9 * x.data.shape[1]))
-        return affine(cols, self.params[f"{name}.w"], self.params[f"{name}.b"])
+    def _conv_named(self, x, name, d):
+        return affine(patches3x3(x, d), self.params[f"{name}.w"], self.params[f"{name}.b"])
 
-    def _resblock(self, x, name, temb, d, b):
-        n = b * 3 * d * d
-        f = self.cfg.hidden
-        h = self._conv_named(relu(x), f"{name}.c1", d, b)
+    def _resblock(self, x, name, temb, d):
+        h = self._conv_named(relu(x), f"{name}.c1", d)
         tproj = affine(temb, self.params[f"{name}.t.w"], self.params[f"{name}.t.b"])  # (B, F)
-        h = add(h, gather(tproj, self._idx("rows", d, b)))
-        h = self._conv_named(relu(h), f"{name}.c2", d, b)
+        b, f = tproj.data.shape
+        h = add(h, reshape(broadcast_to(reshape(tproj, (b, 1, f)), (b, 3 * d * d, f)), h.data.shape))
+        h = self._conv_named(relu(h), f"{name}.c2", d)
         return add(x, h)
 
     def _attention_params(self, prefix):
@@ -240,7 +196,7 @@ class Denoiser:
                                w_o=p[f"{prefix}.wo"], d_k=self.cfg.d_k)
 
     def _adapter(self, x, name, d, b):
-        h = self._conv_named(relu(self._conv_named(relu(x), f"{name}.c1", d, b)), f"{name}.c2", d, b)
+        h = self._conv_named(relu(self._conv_named(relu(x), f"{name}.c1", d)), f"{name}.c2", d)
         x = add(x, h)
         if not self.cfg.adapter_attention:
             return x
@@ -258,22 +214,20 @@ class Denoiser:
         half = d // 2
         temb = Tensor(np.stack([timestep_features(t, f, cfg.timesteps) for t in ts]))  # (B, F)
 
-        h = self._conv_named(x, "stem", d, b)
-        h = self._resblock(h, "rb0", temb, d, b)
+        h = self._conv_named(x, "stem", d)
+        h = self._resblock(h, "rb0", temb, d)
         if cfg.use_adapters:
             h = self._adapter(h, "adapter0", d, b)
         skip = h
 
-        hd = tmean(reshape(gather(h, self._idx("pool", d, b)), (b * 3 * half * half, 4, f)), axis=1)
-        hd = self._resblock(hd, "rb1", temb, half, b)
+        hd = self._resblock(_pool(h, half), "rb1", temb, half)
         hd = self._text_attention(hd, token_matrix, b)
         if cfg.use_adapters:
             hd = self._adapter(hd, "adapter1", half, b)
 
-        hu = gather(hd, self._idx("up", half, b))
-        h = self._conv_named(concat([hu, skip], axis=1), "up", d, b)
-        h = self._resblock(h, "rb2", temb, d, b)
-        return self._conv_named(relu(h), "head", d, b)
+        h = self._conv_named(concat([_upsample(hd, half), skip], axis=1), "up", d)
+        h = self._resblock(h, "rb2", temb, d)
+        return self._conv_named(relu(h), "head", d)
 
     def forward(self, x_t, t, tokens):
         """Predict the injected noise for one noised triplane at timestep t."""
@@ -338,12 +292,7 @@ def stack_triplanes(tris):
 
 
 def unstack_triplanes(arr, d, c, b):
-    dd = d * d
-    out = []
-    for e in range(b):
-        planes = tuple(Tensor(arr[(3 * e + i) * dd:(3 * e + i + 1) * dd].reshape(d, d, c).copy()) for i in range(3))
-        out.append(Triplane(planes))
-    return out
+    return [Triplane(tuple(Tensor(p.copy()) for p in tri)) for tri in arr.reshape(b, 3, d, d, c)]
 
 
 def train_denoiser(dataset, cfg, model_cfg=None, denoiser=None):
@@ -357,6 +306,8 @@ def train_denoiser(dataset, cfg, model_cfg=None, denoiser=None):
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
+    if cfg.batch < 1:
+        raise ValueError(f"train_denoiser: batch must be >= 1, got {cfg.batch}")
     rng = np.random.default_rng(cfg.seed)
     sched = make_schedule(cfg.timesteps, cfg.beta_start, cfg.beta_end)
     if denoiser is None:
@@ -415,6 +366,8 @@ def train_denoiser(dataset, cfg, model_cfg=None, denoiser=None):
 
 def ddpm_sample_many(denoiser, tokens_list, sched, rng, chunk=8):
     """Run many ancestral chains, batched through the stacked forward pass."""
+    if chunk < 1:
+        raise ValueError(f"ddpm_sample_many: chunk must be >= 1, got {chunk}")
     d, c = denoiser.cfg.resolution, denoiser.cfg.channels
     dd = d * d
     out = []

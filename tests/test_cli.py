@@ -164,9 +164,11 @@ def test_gradcheck_fault_injection_fails_and_names_op(capsys):
 
 
 def test_gradcheck_fault_injection_in_the_mlp_node_fails(capsys):
-    assert run_cli("gradcheck", "--scope", "numerics", "--inject-fault", "mlp") == 1
-    failed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if line.endswith("FAIL")]
-    assert failed == ["numerics.mlp"]  # numerics.mlp_head composes matmul, add_rowvec and relu
+    # numerics.mlp_head composes matmul, add_rowvec and relu; no other entry builds 3x3 patches
+    for op in ("mlp", "patches3x3"):
+        assert run_cli("gradcheck", "--scope", "numerics", "--inject-fault", op) == 1
+        failed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if line.endswith("FAIL")]
+        assert failed == [f"numerics.{op}"]
 
 
 def test_fit_writes_outputs_and_vacuum_collapses(tmp_path):
@@ -301,6 +303,24 @@ def test_diffusion_train_checkpoint_of_other_shape_exits_1(tmp_path, capsys, fie
     assert err.startswith("checkpoint error: ")
     assert f"{field} {have}" in err and f"diffusion.grid_{field} {want}" in err
     assert not out.exists() or not os.listdir(out)
+
+
+@pytest.mark.parametrize("line, says", [
+    ("diffusion.sample_chunk = 0", "diffusion.sample_chunk must be >= 1"),
+    ("diffusion.batch = 0", "diffusion.batch must be >= 1"),
+    ("diffusion.grid_resolution = 5", "resolution must be even"),
+    ("diffusion.samples = 0", "diffusion.samples must be >= 1"),
+    ("diffusion.dataset_size = 0", "diffusion.dataset_size must be >= 1"),
+])
+def test_bad_diffusion_values_exit_2_before_any_work(tmp_path, capsys, line, says):
+    # each ended in a traceback or a nan metric at the parent; ablate reads every one of them
+    key = line.split(" = ")[0]
+    cfgp = write_config(tmp_path / "d.cfg", [l for l in TINY_DIFFUSION if not l.startswith(key)] + [line])
+    out = tmp_path / "o"
+    assert run_cli("diffusion", "ablate", "--config", cfgp, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and says in err
+    assert not os.listdir(out)
 
 
 @pytest.mark.parametrize("mode", ["train", "sample"])

@@ -411,3 +411,111 @@ def test_train_clears_grad_flags_when_an_exception_escapes(monkeypatch):
         assert not t.requires_grad and t.grad is None
     out = den._forward_stacked(Tensor(np.zeros((3 * 8 * 8, 4))), [1], dataset[0].tokens[None], 1)
     assert out._parents == () and out._backward is None
+
+
+def test_train_and_sample_reject_an_empty_batch():
+    dataset = small_dataset(1)
+    with pytest.raises(ValueError, match="batch"):
+        df.train_denoiser(dataset, df.DiffusionTrainConfig(steps=1, batch=0, timesteps=20))
+    with pytest.raises(ValueError, match="chunk"):
+        df.ddpm_sample_many(small_model(), [dataset[0].tokens], df.make_schedule(3), np.random.default_rng(0), chunk=0)
+
+
+def test_flipped_resolution_checkpoint_fails_fast(tmp_path):
+    # hangs at the parent: the first pass built 3x3 indices for 65296 x 65296 grids in a Python loop
+    path = tmp_path / "d16.ckpt"
+    df.save_denoiser(str(path), df.Denoiser(df.DenoiserConfig()))
+    raw = bytearray(path.read_bytes())
+    raw[7] ^= 0xFF  # resolution 16 -> 65296; no parameter shape depends on it
+    path.write_bytes(bytes(raw))
+    den = df.load_denoiser(str(path))
+    assert den.cfg.resolution == 65296
+    tokens = small_dataset(1, d=16)[0].tokens[None]
+    with pytest.raises(ad.ShapeError, match="patches3x3"):
+        den._forward_stacked(Tensor(np.zeros((3 * 16 * 16, 4))), [1], tokens, 1)
+
+
+# nested-loop references for the denoiser's spatial ops, one output row at a time
+
+def _conv_rows_reference(g, d):
+    """Source row of every clamp-to-edge 3x3 tap of g stacked d x d grids, taps (dv, du) row-major."""
+    rows = []
+    for p in range(g):
+        for v in range(d):
+            for u in range(d):
+                for dv in (-1, 0, 1):
+                    for du in (-1, 0, 1):
+                        rows.append(p * d * d + min(max(v + dv, 0), d - 1) * d + min(max(u + du, 0), d - 1))
+    return np.array(rows)
+
+
+def _pool_reference(x, g, half):
+    d = 2 * half
+    out = []
+    for p in range(g):
+        for v in range(half):
+            for u in range(half):
+                a, b, c, e = (x[p * d * d + (2 * v + dv) * d + 2 * u + du] for dv in (0, 1) for du in (0, 1))
+                out.append((a + b + c + e) / 4)
+    return np.array(out)
+
+
+def _upsample_reference(x, g, half):
+    d = 2 * half
+    return np.array([x[p * half * half + (v // 2) * half + u // 2]
+                     for p in range(g) for v in range(d) for u in range(d)])
+
+
+@pytest.mark.parametrize("g", [1, 3, 6])
+@pytest.mark.parametrize("d", [1, 2, 4, 8])
+def test_spatial_ops_match_nested_loop_references(d, g):
+    # d = 1 is the half-resolution level of a resolution-2 denoiser
+    rng = np.random.default_rng(100 * d + g)
+    c = 3
+    x = rng.normal(size=(g * d * d, c))
+    rows = _conv_rows_reference(g, d)
+    assert np.array_equal(ad.patches3x3(Tensor(x), d).data, x[rows].reshape(g * d * d, 9 * c))
+    fine = rng.normal(size=(g * 4 * d * d, c))
+    assert np.array_equal(df._pool(Tensor(fine), d).data, _pool_reference(fine, g, d))
+    assert np.array_equal(df._upsample(Tensor(x), d).data, _upsample_reference(x, g, d))
+
+    probe = rng.normal(size=(g * d * d, 9 * c))
+    xt = Tensor(x, requires_grad=True)
+    ad.tsum(ad.mul(ad.patches3x3(xt, d), Tensor(probe))).backward()
+    xg = Tensor(x, requires_grad=True)
+    ad.tsum(ad.mul(ad.gather(xg, rows), Tensor(probe.reshape(-1, c)))).backward()
+    assert np.abs(xt.grad - xg.grad).max() <= 1e-12 * max(1.0, np.abs(xg.grad).max())
+
+
+def test_patches3x3_rejects_rows_that_are_not_whole_grids():
+    for shape, d in (((5, 2), 2), ((8,), 2), ((4, 2), 0)):
+        with pytest.raises(ad.ShapeError, match="patches3x3"):
+            ad.patches3x3(Tensor(np.zeros(shape)), d)
+
+
+def test_whole_denoiser_pass_grad_checks():
+    den = small_model(d=4, seed=12)
+    assert den.cfg.use_adapters and den.cfg.adapter_attention
+    rng = np.random.default_rng(21)
+    for t in den.params.values():  # no zero-initialized block: every path carries gradient
+        if not t.data.any():
+            t.data = rng.normal(scale=0.3, size=t.data.shape)
+    b, d, c = 2, 4, den.cfg.channels
+    x = rng.normal(size=(b * 3 * d * d, c))
+    probe = Tensor(rng.normal(size=x.shape))
+    tokens = np.stack([ex.tokens for ex in small_dataset(2)])
+
+    def loss(inp):
+        return ad.tsum(ad.mul(den._forward_stacked(inp, [3, 17], tokens, b), probe))
+
+    assert ad.grad_check(loss, Tensor(x.copy())) < 1e-6
+    w = den.params["rb1.c1.w"]
+
+    def loss_w(wt):
+        den.params["rb1.c1.w"] = wt
+        try:
+            return loss(Tensor(x))
+        finally:
+            den.params["rb1.c1.w"] = w
+
+    assert ad.grad_check(loss_w, Tensor(w.data.copy())) < 1e-6
