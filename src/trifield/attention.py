@@ -15,6 +15,10 @@ projection; a residual connection wraps everything, and output projections
 are zero-initialized so fresh blocks are identities. The per-pixel
 `orthogonal_attention_reference`, built on `oa_key_set`, is the independent
 oracle for it.
+
+Both attention ops take plane-stacked rows only (`triplane.stack_planes`);
+`orthogonal_attention` and `transformer_refine` are the Triplane-in,
+Triplane-out wrappers that stack once and unstack once.
 """
 
 from __future__ import annotations
@@ -23,24 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    add,
-    as_tensor,
-    broadcast_to,
-    concat,
-    gather,
-    layer_norm,
-    matmul,
-    mlp,
-    mul,
-    narrow,
-    reshape,
-    softmax,
-    transpose,
-    tsum,
-)
-from .triplane import PLANE_AXES, PLANE_IDS, Triplane
+from .autodiff import Tensor, add, as_tensor, concat, layer_norm, matmul, mlp, mul, narrow, reshape, softmax, transpose
+from .triplane import PLANE_AXES, PLANE_IDS, stack_planes, unstack_planes
 
 # Eq-style partner order: each plane attends into its two orthogonal planes
 OA_PARTNERS = {"xy": ("xz", "yz"), "xz": ("xy", "yz"), "yz": ("xz", "xy")}
@@ -199,6 +187,18 @@ def _maybe_norm(x, params):
     return layer_norm(x, params.ln_gamma, params.ln_beta)
 
 
+def _split_heads(t, batch, heads):
+    """(batch*M, heads*d_k) rows -> (batch*heads, M, d_k), each example's heads in order."""
+    m, dk = t.data.shape[0] // batch, t.data.shape[1] // heads
+    return reshape(transpose(reshape(t, (batch, m, heads, dk)), (0, 2, 1, 3)), (batch * heads, m, dk))
+
+
+def _merge_heads(t, batch):
+    """Inverse of `_split_heads`: (batch*heads, M, d_k) -> (batch*M, heads*d_k) rows."""
+    bh, m, dk = t.data.shape
+    return reshape(transpose(reshape(t, (batch, bh // batch, m, dk)), (0, 2, 1, 3)), (batch * m, bh // batch * dk))
+
+
 def stacked_orthogonal_attention(x, params, d, cross_line_index, batch=1):
     """Fused orthogonal attention on plane-stacked features (batch*3*D*D, C).
 
@@ -219,8 +219,7 @@ def stacked_orthogonal_attention(x, params, d, cross_line_index, batch=1):
     xn = _maybe_norm(x, params)
 
     def planes(w):  # per plane, (batch*heads, D, D, d_k) stored [v, u]
-        t = transpose(reshape(matmul(xn, w), (batch, 3, d, d, heads, dk)), (0, 4, 1, 2, 3, 5))
-        t = reshape(t, (bh, 3, d, d, dk))
+        t = reshape(_split_heads(matmul(xn, w), batch, heads), (bh, 3, d, d, dk))
         return [reshape(narrow(t, 1, p, 1), (bh, d, d, dk)) for p in range(3)]
 
     def by_shared(t, plane, s):  # [v, u] <-> [s, other]: a swap when s is the plane's u axis
@@ -246,10 +245,9 @@ def stacked_orthogonal_attention(x, params, d, cross_line_index, batch=1):
                 reshape(matmul(reshape(narrow(w, 3, d, d), (bh, dd, d)), vc), (bh, d, d, dk)))
         return by_shared(o, pid, s)
 
-    outs = [reshape(add(*(attend(pi, partner) for partner in OA_PARTNERS[pid])), (batch, heads, 1, d, d, dk))
+    outs = [reshape(add(*(attend(pi, partner) for partner in OA_PARTNERS[pid])), (bh, dd, dk))
             for pi, pid in enumerate(PLANE_IDS)]
-    att = transpose(concat(outs, axis=2), (0, 2, 3, 4, 1, 5))  # (B, 3, D, D, heads, d_k)
-    return add(x, matmul(reshape(att, (batch * 3 * dd, heads * dk)), params.w_o))
+    return add(x, matmul(_merge_heads(concat(outs, axis=1), batch), params.w_o))
 
 
 def orthogonal_attention(tri, params, cross_line_index=None):
@@ -263,10 +261,7 @@ def orthogonal_attention(tri, params, cross_line_index=None):
         raise ValueError(f"params expect {params.w_q.data.shape[0]} channels, triplane has {c}")
     if cross_line_index is None:
         cross_line_index = d // 2
-    dd = d * d
-    x = concat([reshape(p, (dd, c)) for p in tri.planes], axis=0)
-    out = stacked_orthogonal_attention(x, params, d, cross_line_index)
-    return Triplane(tuple(reshape(narrow(out, 0, i * dd, dd), (d, d, c)) for i in range(3)))
+    return unstack_planes(stacked_orthogonal_attention(stack_planes([tri]), params, d, cross_line_index), d, c)[0]
 
 
 def orthogonal_attention_reference(tri_arrays, params, cross_line_index):
@@ -310,49 +305,25 @@ def orthogonal_attention_reference(tri_arrays, params, cross_line_index):
     return out
 
 
-def cross_attention(feat, text, params, batch=1):
-    """Attend every feature row (query) over its own example's text tokens (keys/values).
+def cross_attention(x, tokens, params, batch=1):
+    """Attend every plane-stacked feature row (query) over its own example's text tokens.
 
-    feat: Triplane, or a plane-stacked (batch*N, C) Tensor with each example's
-    N rows contiguous. text: TextEmbedding, or a (batch*L, d_model) Tensor with
-    each example's L token rows contiguous. Each query gathers the key/value
-    rows of its own example, so captions never mix across a batch. Output
-    matches the input shape; a residual connection is always applied.
+    x: (batch*N, C) rows with each example's N rows contiguous, such as
+    `stack_planes` output. tokens: (batch*L, d_model) rows with each example's
+    L token rows contiguous, so captions never mix across a batch. Per head,
+    the scores are one batched matmul softmaxed over the L tokens, and the
+    attended values one more. Returns (batch*N, C) rows with a residual
+    connection always applied.
     """
-    is_tri = isinstance(feat, Triplane)
-    if is_tri:
-        d, c = feat.resolution, feat.channels
-        x = concat([reshape(p, (d * d, c)) for p in feat.planes], axis=0)
-    else:
-        x = as_tensor(feat)
-    tokens = text.tokens if isinstance(text, TextEmbedding) else as_tensor(text)
+    x, tokens = as_tensor(x), as_tensor(tokens)
     n, n_tok = x.data.shape[0], tokens.data.shape[0]
     if batch < 1 or n % batch or n_tok % batch or not n_tok:
         raise ValueError(f"cross_attention: {n} query rows and {n_tok} token rows do not split into {batch} examples")
-    length, dk, hd = n_tok // batch, params.d_k, params.heads * params.d_k
-
-    k = matmul(tokens, params.w_k)
-    v = matmul(tokens, params.w_v)
-    q = matmul(_maybe_norm(x, params), params.w_q)
-    key_rows = ((np.arange(n) // (n // batch))[:, None] * length + np.arange(length)[None, :]).ravel()
-    kq = reshape(gather(k, key_rows), (n, length, hd))
-    vq = reshape(gather(v, key_rows), (n, length, hd))
-
-    def head(t, axis, h):  # one head's columns; the whole tensor when there is one head
-        return t if params.heads == 1 else narrow(t, axis, h * dk, dk)
-
-    outs = []
-    for h in range(params.heads):
-        qb = broadcast_to(reshape(head(q, 1, h), (n, 1, dk)), (n, length, dk))
-        scores = mul(tsum(mul(qb, head(kq, 2, h)), axis=2), 1.0 / np.sqrt(dk))  # (N, L)
-        w = softmax(scores, axis=1)
-        wb = broadcast_to(reshape(w, (n, length, 1)), (n, length, dk))
-        outs.append(tsum(mul(wb, head(vq, 2, h)), axis=1))
-    att = outs[0] if len(outs) == 1 else concat(outs, axis=1)
-    y = add(x, matmul(att, params.w_o))
-    if is_tri:
-        return Triplane(tuple(reshape(narrow(y, 0, i * d * d, d * d), (d, d, c)) for i in range(3)))
-    return y
+    q = _split_heads(matmul(_maybe_norm(x, params), params.w_q), batch, params.heads)  # (B*heads, N, d_k)
+    k = _split_heads(matmul(tokens, params.w_k), batch, params.heads)  # (B*heads, L, d_k)
+    v = _split_heads(matmul(tokens, params.w_v), batch, params.heads)
+    w = softmax(mul(matmul(q, transpose(k, (0, 2, 1))), 1.0 / np.sqrt(params.d_k)), axis=2)
+    return add(x, matmul(_merge_heads(matmul(w, v), batch), params.w_o))
 
 
 @dataclass
@@ -401,29 +372,25 @@ def refine_params(rng, c, d_k, d_model, depth, hidden=None, heads=1, requires_gr
     return RefineParams(blocks)
 
 
-def _pixel_mlp(tri, block):
-    d, c = tri.resolution, tri.channels
-    layers = [(block.mlp_w1, block.mlp_b1), (block.mlp_w2, block.mlp_b2)]
-    out = []
-    for p in tri.planes:
-        x = reshape(p, (d * d, c))
-        out.append(reshape(add(x, mlp(layer_norm(x, block.mlp_gamma, block.mlp_beta), layers)), (d, d, c)))
-    return Triplane(tuple(out))
-
-
 def transformer_refine(feat, text, depth, params, cross_line_index=None):
     """Stack of depth blocks: cross-attention, orthogonal attention, pixel MLP.
 
-    Every sub-op carries its own pre-norm and residual, so a stack with zeroed
+    feat: Triplane; text: TextEmbedding. The blocks run on the plane-stacked
+    rows of feat, which is stacked once and unstacked once. Every sub-op
+    carries its own pre-norm and residual, so a stack with zeroed
     value/output/MLP weights is an exact identity.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     if len(params.blocks) != depth:
         raise ValueError(f"params carry {len(params.blocks)} blocks, depth is {depth}")
-    x = feat
+    d, c = feat.resolution, feat.channels
+    if cross_line_index is None:
+        cross_line_index = d // 2
+    x = stack_planes([feat])
     for block in params.blocks:
-        x = cross_attention(x, text, block.ca)
-        x = orthogonal_attention(x, block.oa, cross_line_index)
-        x = _pixel_mlp(x, block)
-    return x
+        x = cross_attention(x, text.tokens, block.ca)
+        x = stacked_orthogonal_attention(x, block.oa, d, cross_line_index)
+        layers = [(block.mlp_w1, block.mlp_b1), (block.mlp_w2, block.mlp_b2)]
+        x = add(x, mlp(layer_norm(x, block.mlp_gamma, block.mlp_beta), layers))
+    return unstack_planes(x, d, c)[0]

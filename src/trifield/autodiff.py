@@ -61,9 +61,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
-    def detach(self):
-        return Tensor(self.data.copy())
-
     def zero_grad(self):
         self.grad = None
 
@@ -307,25 +304,18 @@ def narrow(a, axis, start, length):
     return Tensor(out_data, _parents=(a,), _backward=bwd, _op="narrow")
 
 
-def gather(a, indices, axis=0):
-    """Index rows (np.take) along an axis; adjoint scatter-adds."""
+def gather(a, indices):
+    """Rows of an (M, C) tensor (np.take); the adjoint scatter-adds them with one bincount."""
     a = as_tensor(a)
     indices = np.asarray(indices, dtype=np.int64)
-    if indices.ndim != 1:
-        raise ShapeError(f"gather: indices must be 1-d, got {indices.shape}")
-    out_data = np.take(a.data, indices, axis=axis)
+    if a.data.ndim != 2 or indices.ndim != 1:
+        raise ShapeError(f"gather: need an (M, C) tensor and 1-d row indices, got {a.data.shape} and {indices.shape}")
+    out_data = np.take(a.data, indices, axis=0)
+    m, c = a.data.shape
 
     def bwd(g):
-        if axis == 0 and a.data.ndim == 2:
-            # bincount scatter is far faster than np.add.at for the hot 2-d case
-            m, c = a.data.shape
-            flat = (indices[:, None] * c + np.arange(c)).ravel()
-            full = np.bincount(flat, weights=np.ascontiguousarray(g).ravel(), minlength=m * c).reshape(m, c)
-        else:
-            full = np.zeros_like(a.data)
-            moved = np.moveaxis(full, axis, 0)
-            np.add.at(moved, indices, np.moveaxis(g, axis, 0))
-        return ((a, full),)
+        flat = (indices[:, None] * c + np.arange(c)).ravel()
+        return ((a, np.bincount(flat, weights=np.ascontiguousarray(g).ravel(), minlength=m * c).reshape(m, c)),)
 
     return Tensor(out_data, _parents=(a,), _backward=bwd, _op="gather")
 
@@ -492,12 +482,8 @@ def layer_norm(x, gamma, beta, eps=1e-6):
 
 
 def affine(x, w, b):
-    """x @ w + row-broadcast bias; the one composite everybody needs."""
-    y = matmul(x, w)
-    if y.data.ndim == 2:
-        return add_rowvec(y, b)
-    shp = (1,) * (y.data.ndim - 1) + (b.data.shape[-1],)
-    return add(y, broadcast_to(reshape(b, shp), y.data.shape))
+    """(N, C) rows @ w plus a row-broadcast bias; the one composite everybody needs."""
+    return add_rowvec(matmul(x, w), b)
 
 
 def mlp(x, layers):
@@ -573,7 +559,9 @@ def patches3x3(x, d):
     padded[:, :, 0], padded[:, :, -1] = padded[:, :, 1], padded[:, :, -2]
     # the 3 taps of one dv are 3*c contiguous values of a padded grid row
     rows = padded.reshape(-1, d + 2, (d + 2) * c)
-    out_data = np.lib.stride_tricks.sliding_window_view(rows, (3, 3 * c), axis=(1, 2))[:, :, ::c].reshape(n, 9 * c)
+    out_data = np.empty((n, 9 * c))  # the one copy, owned at every d (a reshape would return a view at d = 1)
+    out_data.reshape(-1, d, d, 3, 3 * c)[...] = np.lib.stride_tricks.sliding_window_view(
+        rows, (3, 3 * c), axis=(1, 2))[:, :, ::c]
 
     def bwd(g):
         taps = g.reshape(-1, d, d, 3, 3, c)

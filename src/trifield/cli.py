@@ -92,7 +92,8 @@ def _attention_entries(rng):
         return ad.tsum(ad.mul(at.orthogonal_attention(with_plane(x), pr_oa, d // 2).planes[0], probe))
 
     def ca_loss(x):
-        return ad.tsum(ad.mul(at.cross_attention(with_plane(x), text, pr_ca).planes[0], probe))
+        rows = at.cross_attention(tp.stack_planes([with_plane(x)]), text.tokens, pr_ca)
+        return ad.tsum(ad.mul(tp.unstack_planes(rows, d, c)[0].planes[0], probe))
 
     def refine_loss(x):
         return ad.tsum(ad.mul(at.transformer_refine(with_plane(x), text, 2, pr_refine).planes[0], probe))
@@ -295,7 +296,7 @@ def cmd_fit(args):
         val_every=cfg["fit.val_every"], val_rays=cfg["fit.val_rays"],
         stratified=cfg["fit.stratified"], seed=cfg["seed"],
     )
-    weights = tr.LossWeights(cfg["fit.lambda_mask"], cfg["fit.lambda_depth"], cfg["fit.lambda_perceptual"])
+    weights = tr.LossWeights(cfg["fit.lambda_mask"], cfg["fit.lambda_depth"])
     logs = []
     result = tr.fit_scene(views, fit_cfg, weights, log=lambda s, l, v: logs.append((s, l, v)))
 
@@ -429,7 +430,8 @@ def cmd_diffusion(args):
     cfg = _load_config(args)
     out = cfg["out"]
     rng = np.random.default_rng(cfg["seed"])
-    for key in ("diffusion.batch", "diffusion.sample_chunk", "diffusion.samples", "diffusion.dataset_size"):
+    for key in ("diffusion.steps", "diffusion.batch", "diffusion.sample_chunk", "diffusion.samples",
+                "diffusion.dataset_size"):
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
     try:  # every model and schedule value is checked before a dataset is built or a file written

@@ -44,7 +44,6 @@ DEFAULTS = {
     "fit.azimuth_offset_deg": 22.5,
     "fit.lambda_mask": 0.5,
     "fit.lambda_depth": 1.0,
-    "fit.lambda_perceptual": 2.0,
 
     "render.samples_per_ray": 96,
     "render.size": 64,

@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import (Tensor, add, affine, broadcast_to, concat, gather, mul, narrow, patches3x3, relu, reshape,
-                       tmean, transpose)
+from .autodiff import Tensor, add, affine, broadcast_to, concat, gather, mul, patches3x3, relu, reshape, tmean, transpose
 from .attention import VOCABULARY, AttentionParams, cross_attention, stacked_orthogonal_attention
 from .checkpoint import CheckpointError, Reader, write_block, write_named_arrays
 from .training import AdamW
-from .triplane import PLANE_IDS, Triplane, plane_marginal
+from .triplane import PLANE_IDS, Triplane, plane_marginal, stack_planes, unstack_planes
 
 DENOISER_MAGIC = b"DNZR"
 PARAMS_MAGIC = b"PRMS"
@@ -169,9 +168,6 @@ class Denoiser:
     def parameters(self):
         return list(self.params.values())
 
-    def backbone_parameters(self):
-        return [t for n, t in self.params.items() if not n.startswith("adapter")]
-
     def adapter_parameters(self):
         return [t for n, t in self.params.items() if n.startswith("adapter")]
 
@@ -231,10 +227,8 @@ class Denoiser:
 
     def forward(self, x_t, t, tokens):
         """Predict the injected noise for one noised triplane at timestep t."""
-        d, c = self.cfg.resolution, self.cfg.channels
-        x = concat([reshape(p, (d * d, c)) for p in x_t.planes], axis=0)
-        out = self._forward_stacked(x, [t], np.asarray(tokens, dtype=np.int64)[None, :], 1)
-        return Triplane(tuple(reshape(narrow(out, 0, i * d * d, d * d), (d, d, c)) for i in range(3)))
+        out = self._forward_stacked(stack_planes([x_t]), [t], np.asarray(tokens, dtype=np.int64)[None, :], 1)
+        return unstack_planes(out, self.cfg.resolution, self.cfg.channels)[0]
 
 
 def with_adapters(denoiser, seed=0):
@@ -284,17 +278,6 @@ class DiffusionTrainResult:
     diverged: bool = False
 
 
-def stack_triplanes(tris):
-    """Concatenate triplanes into the (B*3*D*D, C) plane-stacked layout."""
-    d = tris[0].resolution
-    c = tris[0].channels
-    return np.concatenate([p.data.reshape(d * d, c) for tri in tris for p in tri.planes])
-
-
-def unstack_triplanes(arr, d, c, b):
-    return [Triplane(tuple(Tensor(p.copy()) for p in tri)) for tri in arr.reshape(b, 3, d, d, c)]
-
-
 def train_denoiser(dataset, cfg, model_cfg=None, denoiser=None):
     """Train (or continue training) a denoiser on (x0, caption-token) examples.
 
@@ -337,10 +320,8 @@ def train_denoiser(dataset, cfg, model_cfg=None, denoiser=None):
                 xts.append(q_sample(ex.x0, t, eps, sched))
                 eps_blocks.append(eps)
                 toks.append(ex.tokens)
-            x_stack = Tensor(stack_triplanes(xts))
-            eps_stack = stack_triplanes(eps_blocks)
-            out = denoiser._forward_stacked(x_stack, ts, np.stack(toks), cfg.batch)
-            diff = ad.sub(out, Tensor(eps_stack))
+            out = denoiser._forward_stacked(stack_planes(xts), ts, np.stack(toks), cfg.batch)
+            diff = ad.sub(out, stack_planes(eps_blocks))
             # equals the batch mean of per-example triplane losses: planes are
             # co-sized, so sum-of-plane-means is 3x the mean over all entries
             loss = mul(tmean(mul(diff, diff)), 3.0)
@@ -386,7 +367,7 @@ def ddpm_sample_many(denoiser, tokens_list, sched, rng, chunk=8):
                 x = mean + np.sqrt(var) * rng.standard_normal(mean.shape)
             else:
                 x = mean
-        out.extend(unstack_triplanes(x, d, c, b))
+        out.extend(unstack_planes(x, d, c))
     return out
 
 

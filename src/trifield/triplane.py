@@ -1,9 +1,13 @@
-"""Triplane feature maps: projection, bilinear sampling, marginals.
+"""Triplane feature maps: the plane-stacked layout, bilinear sampling, marginals.
 
 A triplane factors a volumetric field over the world cube [-1, 1]^3 into
 three feature planes (xy, xz, yz), each D x D x C and indexed [v, u, c]
 (image convention: rows are v, u scans across a row). Texel centers sit at
 integer indices; addressing outside a plane clamps to the edge.
+
+Batched ops see B triplanes as plane-stacked rows (B*3*D*D, C): per example
+the xy, xz and yz planes, each D*D row-major rows. `stack_planes` and
+`unstack_planes` are the only conversions between the two forms.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor
+from .autodiff import ShapeError, Tensor, as_tensor, concat, narrow, reshape
 
 PLANE_IDS = ("xy", "xz", "yz")
 # world-axis index pair (u axis, v axis) of each plane
@@ -52,25 +56,32 @@ class Triplane:
     def channels(self):
         return self.planes[0].data.shape[2]
 
-    def plane(self, plane_id):
-        return self.planes[PLANE_IDS.index(plane_id)]
-
     def validate_finite(self):
         for pid, p in zip(PLANE_IDS, self.planes):
             if not np.all(np.isfinite(p.data)):
                 raise ValueError(f"plane {pid} contains non-finite values")
-
-    def numpy(self):
-        return tuple(p.data.copy() for p in self.planes)
-
-    def copy(self, requires_grad=False):
-        return Triplane(tuple(Tensor(p.data.copy(), requires_grad=requires_grad) for p in self.planes))
 
 
 def random_triplane(rng, d, c, scale=0.1, requires_grad=False):
     return Triplane(
         tuple(Tensor(rng.normal(scale=scale, size=(d, d, c)), requires_grad=requires_grad) for _ in range(3))
     )
+
+
+def stack_planes(tris):
+    """Plane-stacked (B*3*D*D, C) rows of B co-sized triplanes, as a `concat` of `reshape`s."""
+    d, c = tris[0].resolution, tris[0].channels
+    return concat([reshape(p, (d * d, c)) for tri in tris for p in tri.planes], axis=0)
+
+
+def unstack_planes(x, d, c):
+    """Triplanes of plane-stacked (B*3*D*D, C) rows; the inverse of `stack_planes`."""
+    x = as_tensor(x)
+    dd = d * d
+    if x.data.ndim != 2 or x.data.shape[1] != c or d < 1 or not x.data.shape[0] or x.data.shape[0] % (3 * dd):
+        raise ShapeError(f"unstack_planes: need (B*3*{d}*{d}, {c}) rows of whole triplanes, got {x.data.shape}")
+    return [Triplane(tuple(reshape(narrow(x, 0, row, dd), (d, d, c)) for row in range(lo, lo + 3 * dd, dd)))
+            for lo in range(0, x.data.shape[0], 3 * dd)]
 
 
 # points per block of the forward lookup: each block's four corner gathers

@@ -177,11 +177,9 @@ def test_zero_init_output_projection_gives_identity():
     out = at.orthogonal_attention(tri, oa, 2)
     for o, p in zip(out.planes, tri.planes):
         assert np.array_equal(o.data, p.data)
-    text = at.TextEmbedding(Tensor(rng.normal(size=(2, 5))))
     ca = at.attention_params(rng, 2, d_k=3, kv_dim=5, zero_out=True)
-    out = at.cross_attention(tri, text, ca)
-    for o, p in zip(out.planes, tri.planes):
-        assert np.array_equal(o.data, p.data)
+    x = tp.stack_planes([tri])
+    assert np.array_equal(at.cross_attention(x, Tensor(rng.normal(size=(2, 5))), ca).data, x.data)
 
 
 def test_cross_attention_single_token_uniform_increment():
@@ -190,10 +188,10 @@ def test_cross_attention_single_token_uniform_increment():
     tri = tp.random_triplane(rng, d, c, scale=1.0)
     token = rng.normal(size=(1, 5))
     params = at.attention_params(rng, c, d_k=3, kv_dim=5, zero_out=False)
-    out = at.cross_attention(tri, at.TextEmbedding(Tensor(token)), params)
+    x = tp.stack_planes([tri])
+    out = at.cross_attention(x, Tensor(token), params)
     want = (token @ params.w_v.data) @ params.w_o.data  # one-key softmax is 1
-    for o, p in zip(out.planes, tri.planes):
-        assert np.allclose(o.data - p.data, np.broadcast_to(want, o.data.shape), atol=1e-12)
+    assert np.allclose(out.data - x.data, np.broadcast_to(want, x.data.shape), atol=1e-12)
 
 
 def test_cross_attention_zero_value_identity():
@@ -201,9 +199,8 @@ def test_cross_attention_zero_value_identity():
     tri = tp.random_triplane(rng, 3, 2, scale=1.0)
     params = at.attention_params(rng, 2, d_k=3, kv_dim=5, zero_out=False)
     params.w_v.data[:] = 0.0
-    out = at.cross_attention(tri, at.TextEmbedding(Tensor(rng.normal(size=(4, 5)))), params)
-    for o, p in zip(out.planes, tri.planes):
-        assert np.array_equal(o.data, p.data)
+    x = tp.stack_planes([tri])
+    assert np.array_equal(at.cross_attention(x, Tensor(rng.normal(size=(4, 5))), params).data, x.data)
 
 
 def test_cross_attention_two_token_closed_form():
@@ -222,7 +219,7 @@ def test_cross_attention_two_token_closed_form():
     params.w_q.data[0, 0] = scale_q  # query (1, ...) -> (30, 0)
 
     x = np.ones((5, c))
-    out = at.cross_attention(Tensor(x), at.TextEmbedding(Tensor(tokens)), params)
+    out = at.cross_attention(Tensor(x), Tensor(tokens), params)
     # hand softmax over scores (30, 0)/sqrt(2)
     s = np.array([scale_q, 0.0]) / np.sqrt(dk)
     w = np.exp(s - s.max())
@@ -244,12 +241,47 @@ def test_cross_attention_batch_equals_per_example_calls():
     captions = rng.normal(size=(2, length, dm))
     both = at.cross_attention(Tensor(x), Tensor(captions.reshape(2 * length, dm)), params, batch=2)
     for e in range(2):
-        one = at.cross_attention(Tensor(x[e * rows:(e + 1) * rows]), at.TextEmbedding(Tensor(captions[e])), params)
+        one = at.cross_attention(Tensor(x[e * rows:(e + 1) * rows]), Tensor(captions[e]), params)
         assert np.abs(both.data[e * rows:(e + 1) * rows] - one.data).max() < 1e-12
     swapped = at.cross_attention(Tensor(x), Tensor(captions[::-1].reshape(2 * length, dm)), params, batch=2)
     assert np.abs(swapped.data - both.data).max() > 1e-3  # the caption really matters
     with pytest.raises(ValueError, match="examples"):
         at.cross_attention(Tensor(x), Tensor(captions.reshape(2 * length, dm)), params, batch=3)
+
+
+def cross_attention_reference(x, tokens, params, batch):
+    """Per-row numpy oracle: each row softmaxes over its own example's tokens, one head at a time."""
+    rows, length, dk = len(x) // batch, len(tokens) // batch, params.d_k
+    out = x.copy()
+    for i, row in enumerate(x):
+        if params.ln_gamma is not None:
+            row = (row - row.mean()) / np.sqrt(row.var() + 1e-6) * params.ln_gamma.data + params.ln_beta.data
+        caption = tokens[i // rows * length:(i // rows + 1) * length]
+        q, k, v = row @ params.w_q.data, caption @ params.w_k.data, caption @ params.w_v.data
+        att = np.zeros(params.heads * dk)
+        for h in range(params.heads):
+            sl = slice(h * dk, (h + 1) * dk)
+            s = k[:, sl] @ q[sl] / np.sqrt(dk)
+            w = np.exp(s - s.max())
+            att[sl] = w / w.sum() @ v[:, sl]
+        out[i] += att @ params.w_o.data
+    return out
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("with_norm", [False, True])
+@pytest.mark.parametrize("heads", [1, 2])
+def test_cross_attention_matches_per_row_reference(heads, with_norm, batch):
+    rng = np.random.default_rng(100 * heads + 10 * with_norm + batch)
+    d, c, dm, length = 3, 4, 5, 3
+    params = at.attention_params(rng, c, d_k=2, kv_dim=dm, heads=heads, zero_out=False, with_norm=with_norm)
+    if with_norm:
+        params.ln_gamma.data = rng.normal(size=c)
+        params.ln_beta.data = rng.normal(size=c)
+    x = rng.normal(size=(batch * 3 * d * d, c))
+    tokens = rng.normal(size=(batch * length, dm))
+    got = at.cross_attention(Tensor(x), Tensor(tokens), params, batch=batch).data
+    assert np.abs(got - cross_attention_reference(x, tokens, params, batch)).max() < 1e-12
 
 
 def test_text_embedding_requires_tokens():
@@ -288,10 +320,11 @@ def test_refine_depth_one_equals_manual_composition():
     out = at.transformer_refine(tri, text, 1, params)
 
     block = params.blocks[0]
-    x = at.cross_attention(tri, text, block.ca)
-    x = at.orthogonal_attention(x, block.oa, d // 2)
-    x = at._pixel_mlp(x, block)
-    for o, m in zip(out.planes, x.planes):
+    x = at.cross_attention(tp.stack_planes([tri]), text.tokens, block.ca)
+    x = at.stacked_orthogonal_attention(x, block.oa, d, d // 2)
+    x = ad.add(x, ad.mlp(ad.layer_norm(x, block.mlp_gamma, block.mlp_beta),
+                         [(block.mlp_w1, block.mlp_b1), (block.mlp_w2, block.mlp_b2)]))
+    for o, m in zip(out.planes, tp.unstack_planes(x, d, c)[0].planes):
         assert np.array_equal(o.data, m.data)
 
 

@@ -164,6 +164,12 @@ def test_gather_scatter_adjoint_accumulates_duplicates():
     assert np.array_equal(x.grad, [[1.0, 1.0], [2.0, 2.0], [0.0, 0.0]])
 
 
+def test_gather_takes_rows_of_a_2d_tensor_only():
+    for shape, idx in (((2, 3, 4), [0, 1]), ((4,), [0, 1]), ((3, 2), [[0, 1]])):
+        with pytest.raises(ad.ShapeError, match="gather"):
+            ad.gather(Tensor(np.zeros(shape)), np.array(idx))
+
+
 def test_cumsum_forward_and_adjoint():
     x = Tensor([[1.0, 2.0, 3.0]], requires_grad=True)
     out = ad.cumsum(x, axis=1)

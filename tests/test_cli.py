@@ -311,6 +311,7 @@ def test_diffusion_train_checkpoint_of_other_shape_exits_1(tmp_path, capsys, fie
     ("diffusion.grid_resolution = 5", "resolution must be even"),
     ("diffusion.samples = 0", "diffusion.samples must be >= 1"),
     ("diffusion.dataset_size = 0", "diffusion.dataset_size must be >= 1"),
+    ("diffusion.steps = 0", "diffusion.steps must be >= 1"),
 ])
 def test_bad_diffusion_values_exit_2_before_any_work(tmp_path, capsys, line, says):
     # each ended in a traceback or a nan metric at the parent; ablate reads every one of them

@@ -7,7 +7,7 @@ from trifield import autodiff as ad
 from trifield import diffusion as df
 from trifield import scenes as sc
 from trifield.autodiff import Tensor
-from trifield.triplane import Triplane
+from trifield.triplane import Triplane, stack_planes
 
 
 def small_dataset(n=4, d=8):
@@ -92,7 +92,7 @@ class EchoDenoiser:
         return self.out
 
     def _forward_stacked(self, x, ts, token_matrix, b):
-        return Tensor(df.stack_triplanes([self.out] * b))
+        return stack_planes([self.out] * b)
 
 
 def test_epsilon_loss_zero_for_perfect_stub():
@@ -491,6 +491,13 @@ def test_patches3x3_rejects_rows_that_are_not_whole_grids():
     for shape, d in (((5, 2), 2), ((8,), 2), ((4, 2), 0)):
         with pytest.raises(ad.ShapeError, match="patches3x3"):
             ad.patches3x3(Tensor(np.zeros(shape)), d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_patches3x3_returns_an_owned_writeable_array(d):
+    # at d = 1 the parent returned a read-only view of its private padded buffer
+    out = ad.patches3x3(Tensor(np.ones((3 * d * d, 2))), d).data
+    assert out.flags.writeable and out.flags.owndata and out.flags.c_contiguous
 
 
 def test_whole_denoiser_pass_grad_checks():

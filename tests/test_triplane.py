@@ -7,6 +7,33 @@ from trifield.autodiff import Tensor
 from trifield.triplane import Triplane
 
 
+@pytest.mark.parametrize("b", [1, 3])
+def test_unstack_planes_inverts_stack_planes(b):
+    rng = np.random.default_rng(b)
+    d, c = 4, 3
+    tris = [tp.random_triplane(rng, d, c, scale=1.0, requires_grad=True) for _ in range(b)]
+    x = tp.stack_planes(tris)
+    # per example xy, xz, yz, each plane's D*D rows [v, u] row-major
+    assert np.array_equal(x.data, np.concatenate([p.data.reshape(d * d, c) for tri in tris for p in tri.planes]))
+    back = tp.unstack_planes(x, d, c)
+    assert len(back) == b
+    for got, want in zip(back, tris):
+        for g, w in zip(got.planes, want.planes):
+            assert np.array_equal(g.data, w.data)
+    probe = rng.normal(size=(b, 3, d, d, c))
+    ad.tsum(ad.mul(x, Tensor(probe.reshape(-1, c)))).backward()  # the tape carries through the stack
+    for tri, pb in zip(tris, probe):
+        for p, want in zip(tri.planes, pb):
+            assert np.array_equal(p.grad, want)
+
+
+def test_unstack_planes_rejects_rows_that_are_not_whole_triplanes():
+    for shape, d, c in (((2 * 16, 2), 4, 2), ((3 * 16 + 1, 2), 4, 2), ((3 * 16, 3), 4, 2), ((0, 2), 4, 2),
+                        ((3 * 16,), 4, 1), ((3, 2), 0, 2)):
+        with pytest.raises(ad.ShapeError, match="unstack_planes"):
+            tp.unstack_planes(Tensor(np.zeros(shape)), d, c)
+
+
 def tri_from(plane_xy, d=None, c=None):
     d = d or plane_xy.shape[0]
     c = c or plane_xy.shape[2]
