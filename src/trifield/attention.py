@@ -109,14 +109,6 @@ class TextEmbedding:
         if not np.all(np.isfinite(self.tokens.data)):
             raise ValueError("token embeddings contain non-finite values")
 
-    @property
-    def length(self):
-        return self.tokens.data.shape[0]
-
-    @property
-    def d_model(self):
-        return self.tokens.data.shape[1]
-
 
 def token_ids(words):
     try:
@@ -337,19 +329,10 @@ class RefineBlockParams:
     mlp_gamma: Tensor
     mlp_beta: Tensor
 
-    def tensors(self):
-        return (
-            self.ca.tensors() + self.oa.tensors()
-            + [self.mlp_w1, self.mlp_b1, self.mlp_w2, self.mlp_b2, self.mlp_gamma, self.mlp_beta]
-        )
-
 
 @dataclass
 class RefineParams:
     blocks: list = field(default_factory=list)
-
-    def tensors(self):
-        return [t for b in self.blocks for t in b.tensors()]
 
 
 def refine_params(rng, c, d_k, d_model, depth, hidden=None, heads=1, requires_grad=False):
@@ -372,18 +355,16 @@ def refine_params(rng, c, d_k, d_model, depth, hidden=None, heads=1, requires_gr
     return RefineParams(blocks)
 
 
-def transformer_refine(feat, text, depth, params, cross_line_index=None):
-    """Stack of depth blocks: cross-attention, orthogonal attention, pixel MLP.
+def transformer_refine(feat, text, params, cross_line_index=None):
+    """Stack of params' blocks: cross-attention, orthogonal attention, pixel MLP.
 
     feat: Triplane; text: TextEmbedding. The blocks run on the plane-stacked
     rows of feat, which is stacked once and unstacked once. Every sub-op
     carries its own pre-norm and residual, so a stack with zeroed
     value/output/MLP weights is an exact identity.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be >= 1, got {depth}")
-    if len(params.blocks) != depth:
-        raise ValueError(f"params carry {len(params.blocks)} blocks, depth is {depth}")
+    if not params.blocks:
+        raise ValueError("transformer_refine: params carry no blocks")
     d, c = feat.resolution, feat.channels
     if cross_line_index is None:
         cross_line_index = d // 2

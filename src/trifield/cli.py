@@ -13,14 +13,6 @@ import os
 import sys
 
 
-def _apply_thread_env():
-    """TRIFIELD_THREADS caps the BLAS pools; must run before numpy loads."""
-    n = os.environ.get("TRIFIELD_THREADS")
-    if n:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, n)
-
-
 def _write_metrics(path, items):
     with open(path, "w", encoding="utf-8") as f:
         for key, value in items:
@@ -96,7 +88,7 @@ def _attention_entries(rng):
         return ad.tsum(ad.mul(tp.unstack_planes(rows, d, c)[0].planes[0], probe))
 
     def refine_loss(x):
-        return ad.tsum(ad.mul(at.transformer_refine(with_plane(x), text, 2, pr_refine).planes[0], probe))
+        return ad.tsum(ad.mul(at.transformer_refine(with_plane(x), text, pr_refine).planes[0], probe))
 
     return [
         ("attention.orthogonal", 1e-6, on_plane(oa_loss)),
@@ -192,7 +184,9 @@ def cmd_gradcheck(args):
 
     if args.inject_fault:
         original = getattr(ad, args.inject_fault, None)
-        if original is None:
+        code = getattr(original, "__code__", None)
+        if code is None or not any(getattr(c, "co_name", None) == "bwd" for c in code.co_consts):
+            # only a primitive, a function that builds its own `bwd` closure, has an adjoint to corrupt
             print(f"no such op to corrupt: {args.inject_fault}", file=sys.stderr)
             return 2
 
@@ -237,8 +231,44 @@ def _scene_from_config(cfg):
     return sc.make_scene(kind, params)
 
 
+def _fit_cfgs(cfg):
+    from . import training as tr
+
+    fit_cfg = tr.FitConfig(
+        iterations=cfg["fit.iterations"], lr_planes=cfg["fit.lr_planes"], lr_heads=cfg["fit.lr_heads"],
+        ray_batch=cfg["fit.ray_batch"], samples_per_ray=cfg["fit.samples_per_ray"],
+        grid_resolution=cfg["fit.grid_resolution"], grid_channels=cfg["fit.grid_channels"],
+        hidden=cfg["fit.hidden"], mlp_depth=cfg["fit.mlp_depth"], n_freqs=cfg["fit.n_freqs"],
+        val_every=cfg["fit.val_every"], val_rays=cfg["fit.val_rays"],
+        stratified=cfg["fit.stratified"], seed=cfg["seed"],
+    )
+    return fit_cfg, tr.LossWeights(cfg["fit.lambda_mask"], cfg["fit.lambda_depth"])
+
+
+def _check_view_values(cfg):
+    """Reject a value that fit, render or eval would fail on mid-run, before any work."""
+    import numpy as np
+
+    from . import scenes as sc
+    from .config import ConfigError
+
+    for key, least in (("fit.views", 2), ("fit.image_size", 1), ("render.size", 1), ("render.samples_per_ray", 1),
+                       ("eval.oracle_samples", 512)):
+        if cfg[key] < least:
+            raise ConfigError(f"{key} must be >= {least}, got {cfg[key]}")
+    radius = cfg["fit.orbit_radius"]
+    try:
+        _fit_cfgs(cfg)
+        _scene_from_config(cfg)
+        sc.camera_orbit(cfg["fit.views"], radius, np.deg2rad(cfg["fit.elevation_deg"]))
+        for az in cfg["eval.azimuths_deg"] + (cfg["eval.unseen_azimuth_deg"],):
+            sc.orbit_camera(np.deg2rad(az), np.deg2rad(cfg["eval.elevation_deg"]), radius)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _load_config(args):
-    from .config import RunConfig, parse_config
+    from .config import ConfigError, RunConfig, parse_config
 
     cfg = parse_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
@@ -246,6 +276,9 @@ def _load_config(args):
     if args.out is not None:
         cfg.set("out", args.out)
     os.makedirs(cfg["out"], exist_ok=True)
+    for key in ("seed", "diffusion.dataset_seed"):  # numpy's generators take no negative seed
+        if cfg[key] < 0:
+            raise ConfigError(f"{key} must be >= 0, got {cfg[key]}")
     return cfg
 
 
@@ -280,6 +313,7 @@ def cmd_fit(args):
     from .render import render_view
 
     cfg = _load_config(args)
+    _check_view_values(cfg)
     scene = _scene_from_config(cfg)
     elev = np.deg2rad(cfg["fit.elevation_deg"])
     radius = cfg["fit.orbit_radius"]
@@ -288,15 +322,7 @@ def cmd_fit(args):
                            azimuth_offset=np.deg2rad(cfg["fit.azimuth_offset_deg"]))
     views = [(cam, sc.oracle_render(scene, cam, cfg["eval.oracle_samples"])) for cam in cams]
 
-    fit_cfg = tr.FitConfig(
-        iterations=cfg["fit.iterations"], lr_planes=cfg["fit.lr_planes"], lr_heads=cfg["fit.lr_heads"],
-        ray_batch=cfg["fit.ray_batch"], samples_per_ray=cfg["fit.samples_per_ray"],
-        grid_resolution=cfg["fit.grid_resolution"], grid_channels=cfg["fit.grid_channels"],
-        hidden=cfg["fit.hidden"], mlp_depth=cfg["fit.mlp_depth"], n_freqs=cfg["fit.n_freqs"],
-        val_every=cfg["fit.val_every"], val_rays=cfg["fit.val_rays"],
-        stratified=cfg["fit.stratified"], seed=cfg["seed"],
-    )
-    weights = tr.LossWeights(cfg["fit.lambda_mask"], cfg["fit.lambda_depth"])
+    fit_cfg, weights = _fit_cfgs(cfg)
     logs = []
     result = tr.fit_scene(views, fit_cfg, weights, log=lambda s, l, v: logs.append((s, l, v)))
 
@@ -336,7 +362,15 @@ def cmd_render(args):
     from .render import default_bounds, render_view
 
     cfg = _load_config(args)
-    azimuths = []  # every token parsed before the first view is written
+    _check_view_values(cfg)
+    size = cfg["render.size"] if args.size is None else args.size
+    if size < 1:
+        print(f"usage error: --size must be >= 1, got {size}", file=sys.stderr)
+        return 2
+    if not np.isfinite(args.elevation):
+        print(f"usage error: --elevation {args.elevation} is not a finite number of degrees", file=sys.stderr)
+        return 2
+    views = []  # every token parsed and every camera built before the first view is written
     for token in str(args.azimuth).split(","):
         try:
             az = float(token)
@@ -345,17 +379,20 @@ def cmd_render(args):
         if not np.isfinite(az):
             print(f"usage error: --azimuth {token.strip()!r} is not a finite number of degrees", file=sys.stderr)
             return 2
-        azimuths.append((token.strip(), az))
+        try:
+            cam = sc.orbit_camera(np.deg2rad(az), np.deg2rad(args.elevation), cfg["fit.orbit_radius"],
+                                  height=size, width=size)
+        except ValueError as exc:
+            print(f"usage error: --elevation {args.elevation:g}: {exc}", file=sys.stderr)
+            return 2
+        views.append((token.strip(), cam))
     loaded = _load_checkpoint(load_fit_checkpoint, args.checkpoint)
     if loaded is None:
         return 1
     tri, heads = loaded
-    size = args.size or cfg["render.size"]
     n = cfg["render.samples_per_ray"]
-    radius = cfg["fit.orbit_radius"]
     out = cfg["out"]
-    for token, az in azimuths:
-        cam = sc.orbit_camera(np.deg2rad(az), np.deg2rad(args.elevation), radius, height=size, width=size)
+    for token, cam in views:
         view = render_view(tri, heads, cam, n)
         tag = f"az{token}_el{args.elevation:g}"
         write_ppm(os.path.join(out, f"view_{tag}.ppm"), view.image)
@@ -370,6 +407,7 @@ def cmd_eval(args):
     from .checkpoint import load_fit_checkpoint
 
     cfg = _load_config(args)
+    _check_view_values(cfg)
     loaded = _load_checkpoint(load_fit_checkpoint, args.checkpoint)
     if loaded is None:
         return 1
@@ -552,7 +590,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _apply_thread_env()
     parser = build_parser()
     args = parser.parse_args(argv)
     from .config import ConfigError

@@ -7,6 +7,8 @@ numbers. '#' starts a comment; blank lines are ignored.
 
 from __future__ import annotations
 
+import math
+
 
 class ConfigError(ValueError):
     pass
@@ -73,6 +75,13 @@ DEFAULTS = {
 }
 
 
+def _finite(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not finite")
+    return value
+
+
 def _parse_value(raw, default, key, line_no):
     raw = raw.strip()
     if isinstance(default, bool):
@@ -88,15 +97,15 @@ def _parse_value(raw, default, key, line_no):
             raise ConfigError(f"line {line_no}: key {key!r} expects an integer, got {raw!r}") from None
     if isinstance(default, float):
         try:
-            return float(raw)
+            return _finite(raw)
         except ValueError:
-            raise ConfigError(f"line {line_no}: key {key!r} expects a number, got {raw!r}") from None
+            raise ConfigError(f"line {line_no}: key {key!r} expects a finite number, got {raw!r}") from None
     if isinstance(default, tuple):
         try:
-            return tuple(float(a) for a in raw.split(","))
+            return tuple(_finite(a) for a in raw.split(","))
         except ValueError:
             raise ConfigError(
-                f"line {line_no}: key {key!r} expects a comma-separated list of numbers, got {raw!r}"
+                f"line {line_no}: key {key!r} expects a comma-separated list of finite numbers, got {raw!r}"
             ) from None
     return raw
 
@@ -113,10 +122,6 @@ class RunConfig:
         if key not in DEFAULTS:
             raise ConfigError(f"unknown config key {key!r}")
         self.values[key] = value
-
-    def section(self, prefix):
-        cut = len(prefix) + 1
-        return {k[cut:]: v for k, v in self.values.items() if k.startswith(prefix + ".")}
 
 
 def parse_config(path):

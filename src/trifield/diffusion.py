@@ -204,9 +204,15 @@ class Denoiser:
         return cross_attention(x, emb, self._attention_params("ca"), batch=b)
 
     def _forward_stacked(self, x, ts, token_matrix, b):
-        """Core pass on plane-stacked features (B*3*D*D, C) -> same shape."""
+        """Core pass on plane-stacked features (B*3*D*D, C) -> same shape; checks every input's rows first."""
         cfg = self.cfg
         d, f = cfg.resolution, cfg.hidden
+        want = (b * 3 * d * d, cfg.channels)
+        if x.data.shape != want or len(ts) != b or len(token_matrix) != b:
+            raise ad.ShapeError(
+                f"_forward_stacked: need x {want}, {b} timesteps and {b} token rows; "
+                f"got x {x.data.shape}, {len(ts)} timesteps and {len(token_matrix)} token rows"
+            )
         half = d // 2
         temb = Tensor(np.stack([timestep_features(t, f, cfg.timesteps) for t in ts]))  # (B, F)
 
@@ -267,7 +273,6 @@ class DiffusionTrainConfig:
     beta_end: float = 0.02
     freeze_backbone: bool = False
     seed: int = 0
-    snapshot_every: int = 100
 
 
 @dataclass
@@ -335,7 +340,7 @@ def train_denoiser(dataset, cfg, model_cfg=None, denoiser=None):
             opt.step()
             opt.zero_grad()
             result.history.append(val)
-            if step % cfg.snapshot_every == 0:
+            if step % 100 == 0:
                 snapshot = [p.data.copy() for p in trainable]
     finally:
         # also on an exception: a passed-in denoiser must not keep building a tape

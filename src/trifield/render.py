@@ -21,6 +21,12 @@ from .triplane import sample_triplane
 
 SQRT3 = float(np.sqrt(3.0))
 
+# rays per render_view chunk: a chunk's head activations (chunk * n rows) stay
+# near the size of a core's L2 cache. A pixel does not depend on the chunk,
+# except that BLAS may pick another matmul kernel for a chunk of few rows (a
+# ~1e-16 drift).
+RENDER_CHUNK = 256
+
 
 @dataclass
 class Camera:
@@ -74,11 +80,9 @@ def default_bounds(position):
 
 
 def generate_rays(cam, t_near=None, t_far=None):
-    """Pinhole rays through pixel centers; fov spans the vertical extent."""
-    if t_near is None or t_far is None:
-        tn, tf = default_bounds(cam.position)
-        t_near = tn if t_near is None else t_near
-        t_far = tf if t_far is None else t_far
+    """Pinhole rays through pixel centers; fov spans the vertical extent; bounds default to default_bounds."""
+    if t_near is None:
+        t_near, t_far = default_bounds(cam.position)
     h, w = cam.height, cam.width
     half_v = np.tan(cam.fov / 2.0)
     half_u = half_v * (w / h)
@@ -119,10 +123,6 @@ class FieldHeads:
 
     def tensors(self):
         return [t for w, b in self.s_layers + self.c_layers for t in (w, b)]
-
-    @property
-    def feat_dim(self):
-        return self.s_layers[0][0].data.shape[0] - 3 * (1 + 2 * self.n_freqs)
 
 
 def init_field_heads(rng, feat_dim, hidden=32, depth=2, n_freqs=0, density_bias=-1.0, requires_grad=False):
@@ -218,27 +218,18 @@ class RenderOutput:
     depth: object
 
 
-def render_view(tri, heads, cam, n, stratified=False, rng=None, t_near=None, t_far=None, chunk=256):
-    """Full-frame render; deterministic when stratified is False.
-
-    Rays go through the field `chunk` at a time, so a chunk's head
-    activations (chunk * n rows) stay near the size of a core's L2 cache. A
-    pixel does not depend on the chunk, except that BLAS may pick another
-    matmul kernel for a chunk of few rows (a ~1e-16 drift).
-    """
-    if isinstance(chunk, bool) or not isinstance(chunk, (int, np.integer)) or chunk < 1:
-        raise ValueError(f"render_view: chunk must be an int >= 1, got {chunk!r}")
-    bundle = generate_rays(cam, t_near, t_far)
+def render_view(tri, heads, cam, n):
+    """Deterministic full-frame render, n bin-midpoint samples per ray, RENDER_CHUNK rays at a time."""
+    bundle = generate_rays(cam)
     h, w = bundle.shape
     total = h * w
     img = np.empty((total, 3))
     msk = np.empty(total)
     dep = np.empty(total)
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
+    for lo in range(0, total, RENDER_CHUNK):
+        hi = min(lo + RENDER_CHUNK, total)
         rgb, mask, depth = render_rays(
-            tri, heads, bundle.origins[lo:hi], bundle.directions[lo:hi],
-            bundle.t_near, bundle.t_far, n, stratified, rng,
+            tri, heads, bundle.origins[lo:hi], bundle.directions[lo:hi], bundle.t_near, bundle.t_far, n,
         )
         img[lo:hi] = rgb.data
         msk[lo:hi] = mask.data

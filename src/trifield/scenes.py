@@ -93,7 +93,7 @@ class AnalyticScene:
         raise ValueError(f"unknown scene kind {self.kind!r}")
 
 
-def make_scene(kind, params=None, seed=0):
+def make_scene(kind, params=None):
     """Deterministic closed-form scene; parameters are validated up front."""
     params = dict(params or {})
     if kind == "sphere":
@@ -126,7 +126,7 @@ def make_scene(kind, params=None, seed=0):
     return AnalyticScene(kind, params)
 
 
-def oracle_render(scene, cam, n_fine, t_near=None, t_far=None):
+def oracle_render(scene, cam, n_fine):
     """Reference render at n_fine uniform (bin-midpoint) samples per ray.
 
     Same quadrature as the differentiable renderer, written independently in
@@ -134,7 +134,7 @@ def oracle_render(scene, cam, n_fine, t_near=None, t_far=None):
     """
     if n_fine < 512:
         raise ValueError(f"oracle requires n_fine >= 512, got {n_fine}")
-    bundle = generate_rays(cam, t_near, t_far)
+    bundle = generate_rays(cam)
     h, w = bundle.shape
     r = h * w
     ts = sample_points_batch(bundle.t_near, bundle.t_far, r, n_fine)

@@ -83,9 +83,8 @@ class AdamW:
         self.step_count = 0
         self.rejected = 0
 
-    def step(self, grads=None):
-        if grads is None:
-            grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in self.params]
+    def step(self):
+        grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in self.params]
         if any(not np.all(np.isfinite(g)) for g in grads):
             self.rejected += 1
             return False
@@ -123,6 +122,14 @@ class FitConfig:
     val_rays: int = 512
     stratified: bool = True
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("ray_batch", "samples_per_ray", "grid_resolution", "grid_channels", "hidden", "mlp_depth",
+                     "val_every", "val_rays"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.n_freqs < 0:
+            raise ValueError(f"n_freqs must be >= 0, got {self.n_freqs}")
 
 
 @dataclass
@@ -240,9 +247,9 @@ def fit_scene(views, cfg=None, weights=None, log=None):
     return result
 
 
-def mean_density(tri, heads, grid=8):
-    """Mean field density on a regular probe lattice inside the cube."""
-    axis = np.linspace(-0.9, 0.9, grid)
+def mean_density(tri, heads):
+    """Mean field density on a regular 8^3 probe lattice inside the cube."""
+    axis = np.linspace(-0.9, 0.9, 8)
     pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
     from .render import field_eval_batch
 

@@ -302,7 +302,7 @@ def test_refine_zero_weights_is_identity():
     tri = tp.random_triplane(rng, d, c, scale=1.0)
     text = at.TextEmbedding(Tensor(rng.normal(size=(3, 5))))
     params = at.refine_params(rng, c, d_k=3, d_model=5, depth=2)  # zero-init outputs/MLP
-    out = at.transformer_refine(tri, text, 2, params)
+    out = at.transformer_refine(tri, text, params)
     for o, p in zip(out.planes, tri.planes):
         assert np.array_equal(o.data, p.data)
 
@@ -317,7 +317,7 @@ def test_refine_depth_one_equals_manual_composition():
         block.ca.w_o.data = rng.normal(scale=0.3, size=block.ca.w_o.data.shape)
         block.oa.w_o.data = rng.normal(scale=0.3, size=block.oa.w_o.data.shape)
         block.mlp_w2.data = rng.normal(scale=0.3, size=block.mlp_w2.data.shape)
-    out = at.transformer_refine(tri, text, 1, params)
+    out = at.transformer_refine(tri, text, params)
 
     block = params.blocks[0]
     x = at.cross_attention(tp.stack_planes([tri]), text.tokens, block.ca)
@@ -330,13 +330,12 @@ def test_refine_depth_one_equals_manual_composition():
 
 def test_refine_depth_validation():
     rng = np.random.default_rng(9)
-    params = at.refine_params(rng, 2, d_k=3, d_model=5, depth=2)
     tri = tp.random_triplane(rng, 4, 2)
     text = at.TextEmbedding(Tensor(rng.normal(size=(2, 5))))
-    with pytest.raises(ValueError):
-        at.transformer_refine(tri, text, 0, params)
-    with pytest.raises(ValueError):
-        at.transformer_refine(tri, text, 3, params)
+    with pytest.raises(ValueError, match="no blocks"):
+        at.transformer_refine(tri, text, at.RefineParams())
+    with pytest.raises(ValueError, match="no blocks"):
+        at.transformer_refine(tri, text, at.refine_params(rng, 2, d_k=3, d_model=5, depth=0))
 
 
 def test_refine_grad_check_depth_two():
@@ -353,7 +352,7 @@ def test_refine_grad_check_depth_two():
 
     def f(x):
         t2 = Triplane((ad.reshape(x, (d, d, c)), tri.planes[1], tri.planes[2]))
-        out = at.transformer_refine(t2, text, 2, params)
+        out = at.transformer_refine(t2, text, params)
         return ad.tsum(ad.mul(out.planes[0], probe))
 
     err = ad.grad_check(f, Tensor(tri.planes[0].data.copy(), requires_grad=True))

@@ -312,6 +312,7 @@ def test_diffusion_train_checkpoint_of_other_shape_exits_1(tmp_path, capsys, fie
     ("diffusion.samples = 0", "diffusion.samples must be >= 1"),
     ("diffusion.dataset_size = 0", "diffusion.dataset_size must be >= 1"),
     ("diffusion.steps = 0", "diffusion.steps must be >= 1"),
+    ("diffusion.dataset_seed = -1", "diffusion.dataset_seed must be >= 0"),
 ])
 def test_bad_diffusion_values_exit_2_before_any_work(tmp_path, capsys, line, says):
     # each ended in a traceback or a nan metric at the parent; ablate reads every one of them
@@ -322,6 +323,57 @@ def test_bad_diffusion_values_exit_2_before_any_work(tmp_path, capsys, line, say
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and says in err
     assert not os.listdir(out)
+
+
+@pytest.mark.parametrize("command, lines, flags, says", [
+    ("fit", ["fit.views = 1"], [], "config error: fit.views must be >= 2"),
+    ("fit", ["scene.kind = sphere", "scene.radius = 1.5"], [], "config error: sphere radius must be in (0, 1)"),
+    ("fit", ["fit.orbit_radius = 1.0"], [], "config error: orbit radius must exceed sqrt(3)"),
+    ("fit", ["fit.val_every = 0"], [], "config error: val_every must be >= 1"),
+    ("fit", ["fit.hidden = 0"], [], "config error: hidden must be >= 1"),
+    ("fit", ["fit.n_freqs = -1"], [], "config error: n_freqs must be >= 0"),
+    ("fit", ["fit.lambda_depth = -1.0"], [], "config error: loss weights must be non-negative"),
+    ("eval", ["fit.orbit_radius = nan"], [], "config error: line 18: key 'fit.orbit_radius' expects a finite"),
+    ("render", ["render.samples_per_ray = 0"], [], "config error: render.samples_per_ray must be >= 1"),
+    ("eval", ["eval.oracle_samples = 100"], [], "config error: eval.oracle_samples must be >= 512"),
+    ("render", [], ["--elevation", "nan"], "usage error: --elevation nan is not a finite number"),
+    ("render", [], ["--elevation", "90"], "usage error: --elevation 90: camera on the world up axis"),
+    ("render", [], ["--size", "-4"], "usage error: --size must be >= 1, got -4"),
+    ("render", [], ["--size", "0"], "usage error: --size must be >= 1, got 0"),
+    ("fit", [], ["--seed", "-1"], "config error: seed must be >= 0, got -1"),
+])
+def test_bad_fit_render_eval_values_exit_2_before_any_work(tmp_path, capsys, monkeypatch, command, lines, flags,
+                                                          says):
+    # each ended in a traceback at the parent (fit.views = 1 only after the oracle views were rendered,
+    # fit.val_every = 0 after the first step), and --size 0 rendered silently at render.size
+    from trifield import checkpoint as ck
+    from trifield import render as rd
+    from trifield import scenes as sc
+    from trifield import training as tr
+    from trifield import triplane as tp
+
+    rng = np.random.default_rng(0)
+    ckpt = str(tmp_path / "fit.ckpt")
+    ck.save_fit_checkpoint(ckpt, tp.random_triplane(rng, 4, 2), rd.init_field_heads(rng, 6, hidden=4))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the bad value was rejected")
+
+    for owner, name in ((sc, "oracle_render"), (rd, "render_view"), (tr, "fit_scene")):
+        monkeypatch.setattr(owner, name, no_work)
+    cfgp = write_config(tmp_path / "fit.cfg", TINY_FIT + lines)
+    out = tmp_path / "o"
+    argv = {"fit": [], "render": ["--checkpoint", ckpt, "--azimuth", "0"], "eval": ["--checkpoint", ckpt]}[command]
+    assert run_cli(command, "--config", cfgp, "--out", str(out), *argv, *flags) == 2
+    assert capsys.readouterr().err.startswith(says)
+    assert not out.exists() or not os.listdir(out)
+
+
+@pytest.mark.parametrize("op", ["grad_check", "DTYPE", "affine", "no_such_name"])
+def test_gradcheck_inject_fault_takes_only_primitives(capsys, op):
+    # grad_check and DTYPE ended in an AttributeError and a TypeError traceback at the parent
+    assert run_cli("gradcheck", "--scope", "numerics", "--inject-fault", op) == 2
+    assert capsys.readouterr().err == f"no such op to corrupt: {op}\n"
 
 
 @pytest.mark.parametrize("mode", ["train", "sample"])

@@ -209,10 +209,10 @@ def test_frozen_backbone_never_gets_a_grad(monkeypatch):
     seen = []
     step = AdamW.step
 
-    def checking_step(opt, grads=None):
+    def checking_step(opt):
         seen.append(sorted(n for n, t in staged.params.items() if t.grad is not None))
         assert sorted(n for n, t in staged.params.items() if t.requires_grad) == adapters
-        return step(opt, grads)
+        return step(opt)
 
     monkeypatch.setattr(AdamW, "step", checking_step)
     cfg = df.DiffusionTrainConfig(steps=4, batch=2, lr=3e-3, timesteps=20, seed=1, freeze_backbone=True)
@@ -399,10 +399,10 @@ def test_train_clears_grad_flags_when_an_exception_escapes(monkeypatch):
     den = small_model(seed=4)
     step = AdamW.step
 
-    def failing_step(opt, grads=None):
+    def failing_step(opt):
         if opt.step_count == 1:
             raise RuntimeError("injected failure on step 2")
-        return step(opt, grads)
+        return step(opt)
 
     monkeypatch.setattr(AdamW, "step", failing_step)
     with pytest.raises(RuntimeError, match="injected"):
@@ -431,8 +431,22 @@ def test_flipped_resolution_checkpoint_fails_fast(tmp_path):
     den = df.load_denoiser(str(path))
     assert den.cfg.resolution == 65296
     tokens = small_dataset(1, d=16)[0].tokens[None]
-    with pytest.raises(ad.ShapeError, match="patches3x3"):
+    with pytest.raises(ad.ShapeError, match="_forward_stacked"):
         den._forward_stacked(Tensor(np.zeros((3 * 16 * 16, 4))), [1], tokens, 1)
+
+
+@pytest.mark.parametrize("rows, channels, n_ts, n_tok", [
+    (3 * 8 * 8, 4, 1, 1),  # a resolution-8 triplane: twelve whole 4x4 grids
+    (3 * 4 * 4, 3, 1, 1),
+    (3 * 4 * 4, 4, 2, 1),
+    (3 * 4 * 4, 4, 1, 2),
+])
+def test_forward_stacked_rejects_mismatched_inputs_at_entry(rows, channels, n_ts, n_tok):
+    # the resolution-8 case passed patches3x3 at the parent and ended in a numpy reshape error
+    den = small_model(d=4)
+    tokens = np.stack([small_dataset(1)[0].tokens] * n_tok)
+    with pytest.raises(ad.ShapeError, match="_forward_stacked"):
+        den._forward_stacked(Tensor(np.zeros((rows, channels))), [1] * n_ts, tokens, 1)
 
 
 # nested-loop references for the denoiser's spatial ops, one output row at a time

@@ -190,28 +190,19 @@ def test_render_view_deterministic():
     rng = np.random.default_rng(7)
     tri = tp.random_triplane(rng, 6, 4, scale=0.5)
     heads = rd.init_field_heads(rng, 12, hidden=8, depth=2)
-    cam = make_camera(5, 5, fov=1.2)
+    cam = make_camera(17, 17, fov=1.2)
     a = rd.render_view(tri, heads, cam, 24)
     b = rd.render_view(tri, heads, cam, 24)
     assert np.array_equal(a.image, b.image)
     assert np.array_equal(a.mask, b.mask)
     assert np.array_equal(a.depth, b.depth)
-    # chunking must not change pixel math
-    c = rd.render_view(tri, heads, cam, 24, chunk=7)
-    assert np.array_equal(a.image, c.image)
-
-
-def test_render_view_rejects_a_bad_chunk():
-    # chunk=-5 returned the uninitialised frame buffers; chunk=0 failed inside range()
-    rng = np.random.default_rng(7)
-    tri = tp.random_triplane(rng, 4, 2, scale=0.5)
-    heads = rd.init_field_heads(rng, 6, hidden=8, depth=2)
-    cam = make_camera(3, 3, fov=1.2)
-    for bad in (-5, 0, 2.0, True, None):
-        with pytest.raises(ValueError, match="chunk"):
-            rd.render_view(tri, heads, cam, 8, chunk=bad)
-    assert np.array_equal(rd.render_view(tri, heads, cam, 8, chunk=np.int64(1)).image,
-                          rd.render_view(tri, heads, cam, 8).image)
+    # chunking must not change pixel math: 289 rays take two chunks, render_rays one call
+    assert cam.height * cam.width > rd.RENDER_CHUNK
+    bundle = rd.generate_rays(cam)
+    rgb, mask, depth = rd.render_rays(tri, heads, bundle.origins, bundle.directions,
+                                      bundle.t_near, bundle.t_far, 24)
+    for got, want in ((a.image, rgb.data), (a.mask, mask.data), (a.depth, depth.data)):
+        assert np.abs(got.reshape(want.shape) - want).max() < 1e-12
 
 
 def test_fitted_sphere_render_matches_fine_oracle():

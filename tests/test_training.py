@@ -78,7 +78,8 @@ def test_adamw_default_hyperparameters():
 def test_adamw_decay_only_step():
     p = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     opt = tr.AdamW([p], lr=1e-3, weight_decay=0.03)
-    assert opt.step([np.zeros(2)])
+    p.grad = np.zeros(2)
+    assert opt.step()
     assert np.array_equal(p.data, np.array([1.0, -2.0]) * (1.0 - 1e-3 * 0.03))
 
 
@@ -86,7 +87,8 @@ def test_adamw_first_step_unit_displacement():
     for g in (0.3, -7.0):
         p = Tensor(np.array([0.0]), requires_grad=True)
         opt = tr.AdamW([p], lr=1e-3, weight_decay=0.0)
-        opt.step([np.array([g])])
+        p.grad = np.array([g])
+        opt.step()
         # m_hat / sqrt(v_hat) = g / |g| up to the eps guard
         assert abs(abs(p.data[0]) - 1e-3) < 1e-9
         assert np.sign(-p.data[0]) == np.sign(g)
@@ -95,7 +97,8 @@ def test_adamw_first_step_unit_displacement():
 def test_adamw_zero_lr_is_identity():
     p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     opt = tr.AdamW([p], lr=0.0)
-    opt.step([np.array([5.0, -1.0])])
+    p.grad = np.array([5.0, -1.0])
+    opt.step()
     assert np.array_equal(p.data, [1.0, 2.0])
 
 
@@ -103,18 +106,22 @@ def test_adamw_rejects_non_finite_grads():
     p = Tensor(np.array([1.0]), requires_grad=True)
     opt = tr.AdamW([p], lr=1e-3)
     before = p.data.copy()
-    assert not opt.step([np.array([np.nan])])
+    p.grad = np.array([np.nan])
+    assert not opt.step()
     assert opt.rejected == 1
     assert opt.step_count == 0
     assert np.array_equal(p.data, before)
     assert np.array_equal(opt.m[0], np.zeros(1))
 
 
-def test_adamw_step_takes_explicit_grads():
+def test_adamw_step_reads_param_grads():
     p = Tensor(np.array([1.0]), requires_grad=True)
-    opt = tr.AdamW([p], lr=1e-3)
-    assert opt.step([np.array([1.0])])
+    q = Tensor(np.array([2.0]), requires_grad=True)
+    opt = tr.AdamW([p, q], lr=1e-3, weight_decay=0.0)
+    p.grad = np.array([1.0])  # q.grad stays None and steps as a zero gradient
+    assert opt.step()
     assert p.data[0] < 1.0 and opt.step_count == 1
+    assert q.data[0] == 2.0
 
 
 def vacuum_views(size=12, n_views=2):
@@ -193,11 +200,11 @@ def test_fit_clears_grad_flags_when_an_exception_escapes(monkeypatch):
     seen = []
     step = tr.AdamW.step
 
-    def failing_step(opt, grads=None):
+    def failing_step(opt):
         seen.extend(opt.params)
         if opt.step_count == 1:
             raise RuntimeError("injected failure on step 2")
-        return step(opt, grads)
+        return step(opt)
 
     monkeypatch.setattr(tr.AdamW, "step", failing_step)
     with pytest.raises(RuntimeError, match="injected"):
