@@ -2,7 +2,7 @@
 
 Every block is a 4-byte magic, a u16 version and fixed u32 fields; arrays are
 row-major float32; all little-endian. A ``TRPL`` block holds D, C and the
-(D, D, C) planes xy, xz, yz. A named-array section (``HEDS``, ``PRMS``) holds
+(3, D, D, C) triplane tensor. A named-array section (``HEDS``, ``PRMS``) holds
 an array count, then per array a u16 name length, the utf-8 name, u8 ndim,
 the u32 dims and the payload. README "Output formats" has the whole layout.
 
@@ -177,8 +177,7 @@ def heads_from_arrays(arrays, feat_dim):
 def save_fit_checkpoint(path, tri, heads):
     with open(path, "wb") as f:
         write_block(f, TRIPLANE_MAGIC, "II", tri.resolution, tri.channels)
-        for p in tri.planes:
-            write_array(f, p.data)
+        write_array(f, tri.tensor.data)
         write_named_arrays(f, HEADS_MAGIC, heads_to_arrays(heads))
 
 
@@ -187,7 +186,7 @@ def load_fit_checkpoint(path):
     d, c = r.block(TRIPLANE_MAGIC, "II")
     if d < 1 or c < 1:
         raise CheckpointError(f"header: TRPL needs D >= 1 and C >= 1, got D={d}, C={c}")
-    tri = Triplane(tuple(Tensor(r.array((d, d, c), f"plane {pid}")) for pid in PLANE_IDS))
+    tri = Triplane(np.stack([r.array((d, d, c), f"plane {pid}") for pid in PLANE_IDS]))
     arrays = r.named_arrays(HEADS_MAGIC, lambda declared: _head_shapes(declared, 3 * c))
     r.end()
     return tri, heads_from_arrays(arrays, 3 * c)

@@ -75,10 +75,10 @@ def _attention_entries(rng):
         block.mlp_w2.data = rng.normal(scale=0.3, size=block.mlp_w2.data.shape)
 
     def with_plane(x):
-        return tp.Triplane((ad.reshape(x, (d, d, c)), tri.planes[1], tri.planes[2]))
+        return tp.Triplane(ad.concat([ad.reshape(x, (1, d, d, c)), ad.narrow(tri.tensor, 0, 1, 2)]))
 
     def on_plane(fn):
-        return lambda: ad.grad_check(fn, ad.Tensor(tri.planes[0].data.copy(), requires_grad=True))
+        return lambda: ad.grad_check(fn, ad.Tensor(tri.tensor.data[0].copy(), requires_grad=True))
 
     def oa_loss(x):
         return ad.tsum(ad.mul(at.orthogonal_attention(with_plane(x), pr_oa, d // 2).planes[0], probe))
@@ -119,10 +119,10 @@ def _renderer_entries(rng):
     probe_rgb = ad.Tensor(rng.normal(size=(5, 3)))
 
     def with_plane(x):
-        return tp.Triplane((ad.reshape(x, (d, d, c)), tri.planes[1], tri.planes[2]))
+        return tp.Triplane(ad.concat([ad.reshape(x, (1, d, d, c)), ad.narrow(tri.tensor, 0, 1, 2)]))
 
     def on_plane(fn):
-        return lambda: ad.grad_check(fn, ad.Tensor(tri.planes[0].data.copy(), requires_grad=True))
+        return lambda: ad.grad_check(fn, ad.Tensor(tri.tensor.data[0].copy(), requires_grad=True))
 
     def samp_loss(x):
         return ad.tsum(ad.mul(tp.sample_triplane(with_plane(x), pts), probe))
@@ -275,7 +275,6 @@ def _load_config(args):
         cfg.set("seed", args.seed)
     if args.out is not None:
         cfg.set("out", args.out)
-    os.makedirs(cfg["out"], exist_ok=True)
     for key in ("seed", "diffusion.dataset_seed"):  # numpy's generators take no negative seed
         if cfg[key] < 0:
             raise ConfigError(f"{key} must be >= 0, got {cfg[key]}")
@@ -314,6 +313,7 @@ def cmd_fit(args):
 
     cfg = _load_config(args)
     _check_view_values(cfg)
+    os.makedirs(cfg["out"], exist_ok=True)
     scene = _scene_from_config(cfg)
     elev = np.deg2rad(cfg["fit.elevation_deg"])
     radius = cfg["fit.orbit_radius"]
@@ -392,6 +392,7 @@ def cmd_render(args):
     tri, heads = loaded
     n = cfg["render.samples_per_ray"]
     out = cfg["out"]
+    os.makedirs(out, exist_ok=True)
     for token, cam in views:
         view = render_view(tri, heads, cam, n)
         tag = f"az{token}_el{args.elevation:g}"
@@ -412,6 +413,7 @@ def cmd_eval(args):
     if loaded is None:
         return 1
     tri, heads = loaded
+    os.makedirs(cfg["out"], exist_ok=True)
     metrics, mean = _azimuth_psnrs(cfg, _scene_from_config(cfg), tri, heads, cfg["render.size"], "psnr")
     _write_metrics(os.path.join(cfg["out"], "eval_metrics.txt"), metrics)
     print(f"mean PSNR {mean:.2f} dB over {len(cfg['eval.azimuths_deg'])} views")
@@ -427,10 +429,9 @@ def _triplane_previews(out_dir, stem, tri):
 
     from .images import write_pgm, write_ppm
 
-    occ = np.concatenate([np.clip(p.data[:, :, 0], 0.0, 1.0) for p in tri.planes], axis=1)
-    write_pgm(os.path.join(out_dir, f"{stem}_occ.pgm"), occ)
-    rgb = np.concatenate([np.clip(p.data[:, :, 1:4], 0.0, 1.0) for p in tri.planes], axis=1)
-    write_ppm(os.path.join(out_dir, f"{stem}_rgb.ppm"), rgb)
+    side = np.concatenate(np.clip(tri.tensor.data, 0.0, 1.0), axis=1)  # (D, 3D, C), planes side by side
+    write_pgm(os.path.join(out_dir, f"{stem}_occ.pgm"), side[..., 0])
+    write_ppm(os.path.join(out_dir, f"{stem}_rgb.ppm"), side[..., 1:4])
 
 
 def _diffusion_dataset(cfg):
@@ -491,6 +492,7 @@ def cmd_diffusion(args):
                 print(f"checkpoint error: denoiser {field} {have} does not match diffusion.grid_{field} {want}",
                       file=sys.stderr)
                 return 1
+    os.makedirs(out, exist_ok=True)
 
     if args.mode == "train":
         dataset = _diffusion_dataset(cfg)

@@ -61,14 +61,14 @@ def make_schedule(timesteps, beta_start=1e-4, beta_end=0.02):
 
 
 def q_sample(x0, t, eps, sched):
-    """Forward-noised triplane sqrt(ab_t) x0 + sqrt(1 - ab_t) eps, per plane."""
+    """Forward-noised triplane sqrt(ab_t) x0 + sqrt(1 - ab_t) eps."""
     ab = sched.alpha_bar(t)
     a, b = np.sqrt(ab), np.sqrt(1.0 - ab)
-    return Triplane(tuple(Tensor(a * p.data + b * e.data) for p, e in zip(x0.planes, eps.planes)))
+    return Triplane(a * x0.tensor.data + b * eps.tensor.data)
 
 
 def noise_like(tri, rng):
-    return Triplane(tuple(Tensor(rng.standard_normal(p.data.shape)) for p in tri.planes))
+    return Triplane(rng.standard_normal(tri.tensor.data.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +274,10 @@ class DiffusionTrainConfig:
     freeze_backbone: bool = False
     seed: int = 0
 
+    def __post_init__(self):
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+
 
 @dataclass
 class DiffusionTrainResult:
@@ -355,13 +359,12 @@ def ddpm_sample_many(denoiser, tokens_list, sched, rng, chunk=8):
     if chunk < 1:
         raise ValueError(f"ddpm_sample_many: chunk must be >= 1, got {chunk}")
     d, c = denoiser.cfg.resolution, denoiser.cfg.channels
-    dd = d * d
     out = []
     for lo in range(0, len(tokens_list), chunk):
         group = tokens_list[lo:lo + chunk]
         b = len(group)
         tok = np.stack(group)
-        x = rng.standard_normal((b * 3 * dd, c))
+        x = rng.standard_normal((b * 3 * d * d, c))
         for t in range(sched.timesteps, 0, -1):
             eps_hat = denoiser._forward_stacked(Tensor(x), [t] * b, tok, b).data
             beta = sched.beta(t)
@@ -378,7 +381,7 @@ def ddpm_sample_many(denoiser, tokens_list, sched, rng, chunk=8):
 
 def cross_plane_consistency(tri):
     """Mean L1 disagreement of paired occupancy max-marginals over shared axes."""
-    pxy, pxz, pyz = (p.data if isinstance(p, Tensor) else p for p in tri.planes)
+    pxy, pxz, pyz = tri.tensor.data
 
     def prof(plane, reduce_axis):
         return plane_marginal(plane, reduce_axis, "max")[:, 0]

@@ -14,7 +14,7 @@ import numpy as np
 
 from .attention import token_ids
 from .render import Camera, RenderOutput, generate_rays, sample_points_batch
-from .triplane import Tensor, Triplane
+from .triplane import Triplane
 
 SQRT3 = float(np.sqrt(3.0))
 
@@ -240,7 +240,7 @@ def make_toy_triplane_dataset(count, d=16, c=4, seed=0):
             chans += [np.zeros((d, d))] * (c - 4)
             return np.stack(chans, axis=-1)
 
-        x0 = Triplane((Tensor(plane(0, 1)), Tensor(plane(0, 2)), Tensor(plane(1, 2))))
+        x0 = Triplane(np.stack([plane(0, 1), plane(0, 2), plane(1, 2)]))
         mean_side = float((hi - lo).mean())
         third = (max_side - min_side) / 3.0
         size = "small" if mean_side < min_side + third else ("medium" if mean_side < min_side + 2 * third else "large")

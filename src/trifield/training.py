@@ -124,10 +124,13 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("ray_batch", "samples_per_ray", "grid_resolution", "grid_channels", "hidden", "mlp_depth",
-                     "val_every", "val_rays"):
+        for name in ("iterations", "ray_batch", "samples_per_ray", "grid_resolution", "grid_channels", "hidden",
+                     "mlp_depth", "val_every", "val_rays"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("lr_planes", "lr_heads"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.n_freqs < 0:
             raise ValueError(f"n_freqs must be >= 0, got {self.n_freqs}")
 
@@ -193,8 +196,8 @@ def fit_scene(views, cfg=None, weights=None, log=None):
     total = origins.shape[0]
 
     probe = rng.choice(total, size=min(cfg.val_rays, total), replace=False)
-    params = list(tri.planes) + heads.tensors()
-    opt_planes = AdamW(list(tri.planes), lr=cfg.lr_planes)
+    params = [tri.tensor] + heads.tensors()
+    opt_planes = AdamW([tri.tensor], lr=cfg.lr_planes)
     opt_heads = AdamW(heads.tensors(), lr=cfg.lr_heads)
 
     def batch_loss(idx, stratified):

@@ -5,14 +5,14 @@ three feature planes (xy, xz, yz), each D x D x C and indexed [v, u, c]
 (image convention: rows are v, u scans across a row). Texel centers sit at
 integer indices; addressing outside a plane clamps to the edge.
 
-Batched ops see B triplanes as plane-stacked rows (B*3*D*D, C): per example
-the xy, xz and yz planes, each D*D row-major rows. `stack_planes` and
-`unstack_planes` are the only conversions between the two forms.
+A `Triplane` is one (3, D, D, C) tensor, planes xy, xz, yz along its leading
+axis: the `TRPL` checkpoint payload order. Batched ops see B triplanes as
+plane-stacked rows (B*3*D*D, C) in the same order, each plane D*D row-major
+rows; `stack_planes` and `unstack_planes`, reshapes of the tensor, are the
+only conversions. The lookup's tape parents are the tensor and the points.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,58 +30,53 @@ def clamp_count():
     return _clamp_count
 
 
-@dataclass
 class Triplane:
-    """Three co-sized feature planes over [-1, 1]^3.
+    """Three co-sized feature planes over [-1, 1]^3, held as one tensor.
 
-    planes: tuple of Tensors (P_xy, P_xz, P_yz), each (D, D, C).
+    tensor: (3, D, D, C) Tensor whose leading axis runs over the planes xy, xz, yz.
     """
 
-    planes: tuple
-
-    def __post_init__(self):
-        self.planes = tuple(as_tensor(p) for p in self.planes)
-        if len(self.planes) != 3:
-            raise ValueError(f"triplane needs 3 planes, got {len(self.planes)}")
-        shapes = {p.data.shape for p in self.planes}
-        if len(shapes) != 1 or self.planes[0].data.ndim != 3 or self.planes[0].data.shape[0] != self.planes[0].data.shape[1]:
-            raise ValueError(f"planes must share one (D, D, C) shape, got {[p.data.shape for p in self.planes]}")
-        self.validate_finite()
+    def __init__(self, tensor):
+        self.tensor = as_tensor(tensor)
+        shape = self.tensor.data.shape
+        if len(shape) != 4 or shape[0] != 3 or shape[1] != shape[2]:
+            raise ValueError(f"triplane must be one (3, D, D, C) tensor, got {shape}")
+        for pid, plane in zip(PLANE_IDS, self.tensor.data):
+            if not np.all(np.isfinite(plane)):
+                raise ValueError(f"plane {pid} contains non-finite values")
 
     @property
     def resolution(self):
-        return self.planes[0].data.shape[0]
+        return self.tensor.data.shape[1]
 
     @property
     def channels(self):
-        return self.planes[0].data.shape[2]
+        return self.tensor.data.shape[3]
 
-    def validate_finite(self):
-        for pid, p in zip(PLANE_IDS, self.planes):
-            if not np.all(np.isfinite(p.data)):
-                raise ValueError(f"plane {pid} contains non-finite values")
+    @property
+    def planes(self):
+        """The (D, D, C) planes xy, xz, yz: `narrow` + `reshape` views that stay on the tape."""
+        return tuple(reshape(narrow(self.tensor, 0, i, 1), self.tensor.data.shape[1:]) for i in range(3))
 
 
 def random_triplane(rng, d, c, scale=0.1, requires_grad=False):
-    return Triplane(
-        tuple(Tensor(rng.normal(scale=scale, size=(d, d, c)), requires_grad=requires_grad) for _ in range(3))
-    )
+    return Triplane(Tensor(rng.normal(scale=scale, size=(3, d, d, c)), requires_grad=requires_grad))
 
 
 def stack_planes(tris):
-    """Plane-stacked (B*3*D*D, C) rows of B co-sized triplanes, as a `concat` of `reshape`s."""
+    """Plane-stacked (B*3*D*D, C) rows of B co-sized triplanes: a `reshape` each, one `concat` for B > 1."""
     d, c = tris[0].resolution, tris[0].channels
-    return concat([reshape(p, (d * d, c)) for tri in tris for p in tri.planes], axis=0)
+    rows = [reshape(tri.tensor, (3 * d * d, c)) for tri in tris]
+    return rows[0] if len(rows) == 1 else concat(rows, axis=0)
 
 
 def unstack_planes(x, d, c):
     """Triplanes of plane-stacked (B*3*D*D, C) rows; the inverse of `stack_planes`."""
     x = as_tensor(x)
-    dd = d * d
-    if x.data.ndim != 2 or x.data.shape[1] != c or d < 1 or not x.data.shape[0] or x.data.shape[0] % (3 * dd):
+    n = 3 * d * d
+    if x.data.ndim != 2 or x.data.shape[1] != c or d < 1 or not x.data.shape[0] or x.data.shape[0] % n:
         raise ShapeError(f"unstack_planes: need (B*3*{d}*{d}, {c}) rows of whole triplanes, got {x.data.shape}")
-    return [Triplane(tuple(reshape(narrow(x, 0, row, dd), (d, d, c)) for row in range(lo, lo + 3 * dd, dd)))
-            for lo in range(0, x.data.shape[0], 3 * dd)]
+    return [Triplane(reshape(narrow(x, 0, lo, n), (3, d, d, c))) for lo in range(0, x.data.shape[0], n)]
 
 
 # points per block of the forward lookup: each block's four corner gathers
@@ -120,18 +115,17 @@ def _corner_weights(fu, fv):
 
 
 def triplane_lookup(planes, pts):
-    """Bilinear features of three (D, D, C) planes at (N, 3) world points -> (N, 3C).
+    """Bilinear features of a (3, D, D, C) triplane tensor at (N, 3) world points -> (N, 3C).
 
-    One tape node whose parents are the three planes and the points. Each
+    One tape node whose parents are the triplane tensor and the points. Each
     output row is four corner products summed in corner order 0, 1, 2, 3, the
     same arithmetic at every block size. The backward recomputes the corners
     from the points, and computes an adjoint only for a parent that requires
     grad; the point adjoint passes only through components strictly inside
     the cube.
     """
-    planes = tuple(planes)
-    d, c = planes[0].data.shape[0], planes[0].data.shape[2]
-    table = np.concatenate([p.data.reshape(d * d, c) for p in planes])
+    _, d, _, c = planes.data.shape
+    table = planes.data.reshape(3 * d * d, c)
     p_data = pts.data
     n = p_data.shape[0]
     shift = 1 if d > 1 else 0
@@ -159,7 +153,7 @@ def triplane_lookup(planes, pts):
         g = np.ascontiguousarray(g).reshape(n, 3, c)
         base, fu, fv = _bilinear_corners(p_data, d)
         grads = []
-        if any(p.requires_grad for p in planes):
+        if planes.requires_grad:
             lower = ((base * c)[:, :, None] + np.arange(c)).ravel()
             flat = np.empty_like(lower)
             wg = np.empty_like(g)
@@ -169,8 +163,7 @@ def triplane_lookup(planes, pts):
                 np.multiply(g, w[:, :, None], out=wg)
                 part = np.bincount(flat, weights=wg.ravel(), minlength=3 * d * d * c)
                 total = part if total is None else total + part
-            total = total.reshape(3, d, d, c)
-            grads += [(p, total[i]) for i, p in enumerate(planes) if p.requires_grad]
+            grads.append((planes, total.reshape(3, d, d, c)))
         if pts.requires_grad:
             # adjoint of each corner weight, then through w = (1-fu)(1-fv), fu(1-fv), ...
             dw = [(g * table[base + off]).sum(axis=2) for off in offsets]
@@ -186,7 +179,7 @@ def triplane_lookup(planes, pts):
             grads.append((pts, gp))
         return tuple(grads)
 
-    return Tensor(out, _parents=planes + (pts,), _backward=bwd, _op="triplane_lookup")
+    return Tensor(out, _parents=(planes, pts), _backward=bwd, _op="triplane_lookup")
 
 
 def sample_triplane(tri, points):
@@ -206,12 +199,12 @@ def sample_triplane(tri, points):
     n_out = int(np.count_nonzero((pts.data < -1.0) | (pts.data > 1.0)))
     if n_out:
         _clamp_count += n_out
-    return triplane_lookup(tri.planes, pts)
+    return triplane_lookup(tri.tensor, pts)
 
 
 def plane_marginal(plane, axis, reducer):
     """Reduce one plane along the named axis ('u' or 'v') -> (D, C) profile."""
-    arr = plane.data if isinstance(plane, Tensor) else np.asarray(plane, dtype=np.float64)
+    arr = np.asarray(plane, dtype=np.float64)
     if arr.ndim != 3:
         raise ValueError(f"plane must be (D, D, C), got {arr.shape}")
     if axis not in ("u", "v"):

@@ -62,8 +62,8 @@ def test_criterion_2_oa_oracle_equivalence():
                     tri = tp.random_triplane(rng, d, c, scale=1.0)
                     params = at.attention_params(rng, c, d_k=3, zero_out=False)
                     out = at.orthogonal_attention(tri, params, d // 2)
-                    ref = at.orthogonal_attention_reference([p.data for p in tri.planes], params, d // 2)
-                    worst = max(worst, max(np.abs(o.data - r).max() for o, r in zip(out.planes, ref)))
+                    ref = at.orthogonal_attention_reference(tri.tensor.data, params, d // 2)
+                    worst = max(worst, max(np.abs(o - r).max() for o, r in zip(out.tensor.data, ref)))
         assert worst < 1e-10, f"max deviation {worst:.3e}"
         assert time.time() - start < 60.0
 
@@ -146,15 +146,15 @@ def test_criterion_5_diffusion_objectives():
         draws, per = 1100, 3 * d * d * c
         acc = np.empty((draws, per))
         for i in range(draws):
-            x0 = Triplane(tuple(Tensor(rng.standard_normal((d, d, c))) for _ in range(3)))
+            x0 = Triplane(rng.standard_normal((3, d, d, c)))
             noise = df.noise_like(x0, rng)
             xt = df.q_sample(x0, 50, noise, sched)
-            acc[i] = np.concatenate([p.data.ravel() for p in xt.planes])
+            acc[i] = xt.tensor.data.ravel()
         assert acc.size >= 100_000
         assert abs(acc.var() - 1.0) < 0.02, f"variance {acc.var():.4f}"
 
         # single-example memorization: smoothed eps-loss below 0.1 within 2000 steps
-        x0 = Triplane(tuple(Tensor(np.full((16, 16, 4), 0.3)) for _ in range(3)))
+        x0 = Triplane(np.full((3, 16, 16, 4), 0.3))
         single = [_SingleExample(x0, token_ids(("red", "small", "box")))]
         cfg = df.DiffusionTrainConfig(steps=2000, batch=2, lr=3e-3, seed=2)
         res = df.train_denoiser(single, cfg, model_cfg=df.DenoiserConfig(use_adapters=False, seed=2))
@@ -166,7 +166,7 @@ def test_criterion_5_diffusion_objectives():
         # samples from the memorized model stay near x0
         samples = df.ddpm_sample_many(res.denoiser, [single[0].tokens] * 4, res.sched,
                                       np.random.default_rng(3), chunk=4)
-        mad = np.mean([np.abs(s.planes[i].data - x0.planes[i].data).mean()
+        mad = np.mean([np.abs(s.tensor.data[i] - x0.tensor.data[i]).mean()
                        for s in samples for i in range(3)])
         print(f"  memorization sample MAD: {mad:.4f}")
         assert mad < 0.15, f"sample MAD {mad:.4f}"

@@ -101,8 +101,7 @@ def test_oa_zero_value_path_is_identity():
     params = at.attention_params(rng, 2, d_k=3, zero_out=False)
     params.w_v.data[:] = 0.0
     out = at.orthogonal_attention(tri, params, 2)
-    for o, p in zip(out.planes, tri.planes):
-        assert np.array_equal(o.data, p.data)
+    assert np.array_equal(out.tensor.data, tri.tensor.data)
 
 
 def test_oa_uniform_weights_give_key_set_mean():
@@ -113,7 +112,7 @@ def test_oa_uniform_weights_give_key_set_mean():
     params.w_k.data[:] = 0.0  # constant scores -> uniform attention
     cross = 1
     out = at.orthogonal_attention(tri, params, cross)
-    planes = [p.data for p in tri.planes]
+    planes = tri.tensor.data
     u, v = 2, 3
     acc = np.zeros(3)
     for partner in at.OA_PARTNERS["xy"]:
@@ -121,7 +120,7 @@ def test_oa_uniform_weights_give_key_set_mean():
         feats = np.stack([planes[PLANE_IDS.index(partner)][kv, ku] for ku, kv in ks.indices])
         acc += (feats @ params.w_v.data).mean(axis=0)
     want = planes[0][v, u] + acc @ params.w_o.data
-    assert np.allclose(out.planes[0].data[v, u], want, atol=1e-12)
+    assert np.allclose(out.tensor.data[0, v, u], want, atol=1e-12)
 
 
 @pytest.mark.parametrize("d,c", [(1, 1), (2, 2), (3, 1), (4, 2)])
@@ -131,8 +130,8 @@ def test_oa_matches_brute_force_reference(d, c):
         tri = tp.random_triplane(rng, d, c, scale=1.0)
         params = at.attention_params(rng, c, d_k=3, zero_out=False)
         out = at.orthogonal_attention(tri, params, d // 2)
-        ref = at.orthogonal_attention_reference([p.data for p in tri.planes], params, d // 2)
-        dev = max(np.abs(o.data - r).max() for o, r in zip(out.planes, ref))
+        ref = at.orthogonal_attention_reference(tri.tensor.data, params, d // 2)
+        dev = max(np.abs(o - r).max() for o, r in zip(out.tensor.data, ref))
         assert dev < 1e-10
 
 
@@ -141,8 +140,8 @@ def test_oa_multi_head_matches_reference():
     tri = tp.random_triplane(rng, 4, 4, scale=1.0)
     params = at.attention_params(rng, 4, d_k=2, heads=2, zero_out=False)
     out = at.orthogonal_attention(tri, params, 2)
-    ref = at.orthogonal_attention_reference([p.data for p in tri.planes], params, 2)
-    assert max(np.abs(o.data - r).max() for o, r in zip(out.planes, ref)) < 1e-10
+    ref = at.orthogonal_attention_reference(tri.tensor.data, params, 2)
+    assert max(np.abs(o - r).max() for o, r in zip(out.tensor.data, ref)) < 1e-10
 
 
 def test_oa_set_valued_over_keys():
@@ -152,7 +151,7 @@ def test_oa_set_valued_over_keys():
     d, c = 4, 2
     tri = tp.random_triplane(rng, d, c, scale=1.0)
     params = at.attention_params(rng, c, d_k=3, zero_out=False)
-    base = at.orthogonal_attention_reference([p.data for p in tri.planes], params, 2)
+    base = at.orthogonal_attention_reference(tri.tensor.data, params, 2)
 
     orig = at.oa_key_set
 
@@ -164,7 +163,7 @@ def test_oa_set_valued_over_keys():
 
     at.oa_key_set = shuffled
     try:
-        perm = at.orthogonal_attention_reference([p.data for p in tri.planes], params, 2)
+        perm = at.orthogonal_attention_reference(tri.tensor.data, params, 2)
     finally:
         at.oa_key_set = orig
     assert max(np.abs(a - b).max() for a, b in zip(base, perm)) < 1e-12
@@ -175,8 +174,7 @@ def test_zero_init_output_projection_gives_identity():
     tri = tp.random_triplane(rng, 4, 2, scale=1.0)
     oa = at.attention_params(rng, 2, d_k=3, zero_out=True)
     out = at.orthogonal_attention(tri, oa, 2)
-    for o, p in zip(out.planes, tri.planes):
-        assert np.array_equal(o.data, p.data)
+    assert np.array_equal(out.tensor.data, tri.tensor.data)
     ca = at.attention_params(rng, 2, d_k=3, kv_dim=5, zero_out=True)
     x = tp.stack_planes([tri])
     assert np.array_equal(at.cross_attention(x, Tensor(rng.normal(size=(2, 5))), ca).data, x.data)
@@ -303,8 +301,7 @@ def test_refine_zero_weights_is_identity():
     text = at.TextEmbedding(Tensor(rng.normal(size=(3, 5))))
     params = at.refine_params(rng, c, d_k=3, d_model=5, depth=2)  # zero-init outputs/MLP
     out = at.transformer_refine(tri, text, params)
-    for o, p in zip(out.planes, tri.planes):
-        assert np.array_equal(o.data, p.data)
+    assert np.array_equal(out.tensor.data, tri.tensor.data)
 
 
 def test_refine_depth_one_equals_manual_composition():
@@ -324,8 +321,7 @@ def test_refine_depth_one_equals_manual_composition():
     x = at.stacked_orthogonal_attention(x, block.oa, d, d // 2)
     x = ad.add(x, ad.mlp(ad.layer_norm(x, block.mlp_gamma, block.mlp_beta),
                          [(block.mlp_w1, block.mlp_b1), (block.mlp_w2, block.mlp_b2)]))
-    for o, m in zip(out.planes, tp.unstack_planes(x, d, c)[0].planes):
-        assert np.array_equal(o.data, m.data)
+    assert np.array_equal(out.tensor.data, tp.unstack_planes(x, d, c)[0].tensor.data)
 
 
 def test_refine_depth_validation():
@@ -351,11 +347,11 @@ def test_refine_grad_check_depth_two():
     probe = Tensor(rng.normal(size=(d, d, c)))
 
     def f(x):
-        t2 = Triplane((ad.reshape(x, (d, d, c)), tri.planes[1], tri.planes[2]))
+        t2 = Triplane(ad.concat([ad.reshape(x, (1, d, d, c)), ad.narrow(tri.tensor, 0, 1, 2)]))
         out = at.transformer_refine(t2, text, params)
         return ad.tsum(ad.mul(out.planes[0], probe))
 
-    err = ad.grad_check(f, Tensor(tri.planes[0].data.copy(), requires_grad=True))
+    err = ad.grad_check(f, Tensor(tri.tensor.data[0].copy(), requires_grad=True))
     assert err < 1e-5
 
 

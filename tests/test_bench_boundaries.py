@@ -93,3 +93,29 @@ def test_mlp_is_a_traced_primitive(tracing):
     assert len(convs) == 13  # stem, 3 resblocks and 2 adapters of 2 convs each, up, head
     for node in convs:
         assert node._backward.__code__ in patch_codes
+
+
+def test_planes_are_the_tensor_in_plane_order(tmp_path):
+    # the benchmark reads p.data from `.planes` of a loaded random triplane
+    # (_reference_frame) and of sampled triplanes (_finite)
+    from trifield import checkpoint as ck
+    from trifield import diffusion as df
+    from trifield import render as rd
+
+    rng = np.random.default_rng(0)
+    d, c = 4, 2
+    tri = tp.random_triplane(rng, d, c)
+    path = str(tmp_path / "fit.ckpt")
+    ck.save_fit_checkpoint(path, tri, rd.init_field_heads(rng, 3 * c, hidden=4))
+    loaded, _ = ck.load_fit_checkpoint(path)
+    payload = np.frombuffer(open(path, "rb").read()[14:14 + 4 * 3 * d * d * c], dtype="<f4").reshape(3, d, d, c)
+    den = df.Denoiser(df.DenoiserConfig(resolution=d, channels=c, hidden=4, d_model=4))
+    sampled = df.ddpm_sample_many(den, [np.zeros(3, dtype=np.int64)] * 2, df.make_schedule(2), rng)
+    for t in [tri, loaded] + sampled:
+        planes = t.planes
+        assert len(planes) == 3
+        for i, p in enumerate(planes):  # xy, xz, yz
+            assert p.data.shape == (d, d, c)
+            assert np.array_equal(p.data, t.tensor.data[i])
+    for i, p in enumerate(loaded.planes):  # the TRPL payload holds the planes in the same order
+        assert np.array_equal(p.data, payload[i])

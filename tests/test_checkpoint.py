@@ -35,11 +35,11 @@ def tiny_fit_bytes(tmp_path, heads=None):
 
 def fit_shapes(tri, heads):
     layers = [(w.data.shape, b.data.shape) for w, b in heads.s_layers + heads.c_layers]
-    return [p.data.shape for p in tri.planes], layers, heads.n_freqs
+    return tri.tensor.data.shape, layers, heads.n_freqs
 
 
 def fit_finite(tri, heads):
-    return all(np.isfinite(t.data).all() for t in list(tri.planes) + heads.tensors())
+    return all(np.isfinite(t.data).all() for t in [tri.tensor] + heads.tensors())
 
 
 LOADERS = {
@@ -117,7 +117,7 @@ def test_fit_checkpoint_matches_the_spec_byte_for_byte(tmp_path):
     heads = rd.FieldHeads(s_layers=[(Tensor(w[0]), Tensor(b[0])), (Tensor(w[1]), Tensor(b[1]))],
                           c_layers=[(Tensor(w[2]), Tensor(b[2])), (Tensor(w[3]), Tensor(b[3]))], n_freqs=0)
     path = tmp_path / "fit.ckpt"
-    ck.save_fit_checkpoint(str(path), Triplane(tuple(planes)), heads)
+    ck.save_fit_checkpoint(str(path), Triplane(np.stack(planes)), heads)
     want = b"TRPL" + struct.pack("<HII", 1, d, c) + b"".join(spec_floats(p) for p in planes)
     want += spec_section(b"HEDS", {"meta": [0.0, 2.0], "s0.w": w[0], "s0.b": b[0], "s1.w": w[1], "s1.b": b[1],
                                    "c0.w": w[2], "c0.b": b[2], "c1.w": w[3], "c1.b": b[3]})
@@ -142,19 +142,17 @@ def test_denoiser_checkpoint_matches_the_spec_byte_for_byte(tmp_path):
 
 def test_triplane_block_round_trip_is_exact_for_f32_values(tmp_path):
     rng = np.random.default_rng(7)
-    planes = tuple(rng.normal(size=(4, 4, 3)).astype(np.float32).astype(np.float64) for _ in range(3))
-    tri = Triplane(planes)
+    tri = Triplane(rng.normal(size=(3, 4, 4, 3)).astype(np.float32).astype(np.float64))
     path = str(tmp_path / "fit.ckpt")
     ck.save_fit_checkpoint(path, tri, rd.init_field_heads(rng, 9, hidden=2))
     back, _ = ck.load_fit_checkpoint(path)
-    for a, b in zip(tri.planes, back.planes):
-        assert np.array_equal(a.data, b.data)
+    assert np.array_equal(tri.tensor.data, back.tensor.data)
 
 
 def test_triplane_block_layout_is_little_endian_u_fastest(tmp_path):
     d, c = 2, 1
     plane = np.array([[[1.0], [2.0]], [[3.0], [4.0]]])  # [v, u, c]
-    tri = Triplane((plane, np.zeros((d, d, c)), np.zeros((d, d, c))))
+    tri = Triplane(np.stack([plane, np.zeros((d, d, c)), np.zeros((d, d, c))]))
     path = tmp_path / "fit.ckpt"
     ck.save_fit_checkpoint(str(path), tri, rd.init_field_heads(np.random.default_rng(0), 3, hidden=2))
     raw = path.read_bytes()

@@ -313,6 +313,7 @@ def test_diffusion_train_checkpoint_of_other_shape_exits_1(tmp_path, capsys, fie
     ("diffusion.dataset_size = 0", "diffusion.dataset_size must be >= 1"),
     ("diffusion.steps = 0", "diffusion.steps must be >= 1"),
     ("diffusion.dataset_seed = -1", "diffusion.dataset_seed must be >= 0"),
+    ("diffusion.lr = -1", "diffusion: lr must be > 0, got -1.0"),
 ])
 def test_bad_diffusion_values_exit_2_before_any_work(tmp_path, capsys, line, says):
     # each ended in a traceback or a nan metric at the parent; ablate reads every one of them
@@ -322,7 +323,7 @@ def test_bad_diffusion_values_exit_2_before_any_work(tmp_path, capsys, line, say
     assert run_cli("diffusion", "ablate", "--config", cfgp, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and says in err
-    assert not os.listdir(out)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, lines, flags, says", [
@@ -341,6 +342,9 @@ def test_bad_diffusion_values_exit_2_before_any_work(tmp_path, capsys, line, say
     ("render", [], ["--size", "-4"], "usage error: --size must be >= 1, got -4"),
     ("render", [], ["--size", "0"], "usage error: --size must be >= 1, got 0"),
     ("fit", [], ["--seed", "-1"], "config error: seed must be >= 0, got -1"),
+    ("fit", ["fit.iterations = 0"], [], "config error: iterations must be >= 1, got 0"),
+    ("fit", ["fit.lr_planes = -1"], [], "config error: lr_planes must be > 0, got -1.0"),
+    ("fit", ["fit.lr_heads = 0"], [], "config error: lr_heads must be > 0, got 0.0"),
 ])
 def test_bad_fit_render_eval_values_exit_2_before_any_work(tmp_path, capsys, monkeypatch, command, lines, flags,
                                                           says):
@@ -366,7 +370,7 @@ def test_bad_fit_render_eval_values_exit_2_before_any_work(tmp_path, capsys, mon
     argv = {"fit": [], "render": ["--checkpoint", ckpt, "--azimuth", "0"], "eval": ["--checkpoint", ckpt]}[command]
     assert run_cli(command, "--config", cfgp, "--out", str(out), *argv, *flags) == 2
     assert capsys.readouterr().err.startswith(says)
-    assert not out.exists() or not os.listdir(out)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("op", ["grad_check", "DTYPE", "affine", "no_such_name"])

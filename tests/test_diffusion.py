@@ -60,10 +60,10 @@ def test_q_sample_limits():
     eps = df.noise_like(x0, np.random.default_rng(0))
     no_noise = df.NoiseSchedule(1, np.array([0.0]), np.array([1.0]))
     xt = df.q_sample(x0, 1, eps, no_noise)
-    assert all(np.array_equal(a.data, b.data) for a, b in zip(xt.planes, x0.planes))
+    assert np.array_equal(xt.tensor.data, x0.tensor.data)
     all_noise = df.NoiseSchedule(1, np.array([1.0]), np.array([0.0]))
     xt = df.q_sample(x0, 1, eps, all_noise)
-    assert all(np.array_equal(a.data, b.data) for a, b in zip(xt.planes, eps.planes))
+    assert np.array_equal(xt.tensor.data, eps.tensor.data)
 
 
 def test_q_sample_variance_preserving_monte_carlo():
@@ -75,10 +75,10 @@ def test_q_sample_variance_preserving_monte_carlo():
     draws = 1100
     acc = np.empty((draws, per))
     for i in range(draws):
-        x0 = Triplane(tuple(Tensor(rng.standard_normal((d, d, c))) for _ in range(3)))
+        x0 = Triplane(rng.standard_normal((3, d, d, c)))
         eps = df.noise_like(x0, rng)
         xt = df.q_sample(x0, 25, eps, sched)
-        acc[i] = np.concatenate([p.data.ravel() for p in xt.planes])
+        acc[i] = xt.tensor.data.ravel()
     assert abs(acc.var() - 1.0) < 0.02
 
 
@@ -106,7 +106,7 @@ def test_epsilon_loss_zero_for_perfect_stub():
 def test_epsilon_loss_of_zero_stub_is_noise_power():
     x0 = small_dataset(1, d=16)[0].x0
     eps = df.noise_like(x0, np.random.default_rng(2))
-    zero = Triplane(tuple(Tensor(np.zeros_like(p.data)) for p in x0.planes))
+    zero = Triplane(np.zeros_like(x0.tensor.data))
     sched = df.make_schedule(20)
     loss = df.epsilon_loss(EchoDenoiser(zero), x0, None, 5, eps, sched)
     # sum over three planes of mean(eps^2), eps standard normal
@@ -134,8 +134,7 @@ def test_zero_init_adapters_do_not_change_outputs():
     xt = df.q_sample(x0, 5, eps, df.make_schedule(20))
     a = bare.forward(xt, 5, dataset[0].tokens)
     b = with_ad.forward(xt, 5, dataset[0].tokens)
-    for pa, pb in zip(a.planes, b.planes):
-        assert np.array_equal(pa.data, pb.data)
+    assert np.array_equal(a.tensor.data, b.tensor.data)
 
 
 def test_training_loss_decreases():
@@ -267,7 +266,7 @@ def test_train_rejects_empty_dataset():
 def test_single_step_chain_matches_closed_form():
     dataset = small_dataset(1)
     sched = df.make_schedule(1, 0.3, 0.3)  # beta = 0.3, so alpha_bar_1 = 0.7
-    const = Triplane(tuple(Tensor(np.full((8, 8, 4), 0.25)) for _ in range(3)))
+    const = Triplane(np.full((3, 8, 8, 4), 0.25))
     den = EchoDenoiser(const)
     den.cfg = small_model().cfg  # resolution/channels for the sampler
     (out,) = df.ddpm_sample_many(den, [dataset[0].tokens], sched, np.random.default_rng(5))
@@ -276,8 +275,8 @@ def test_single_step_chain_matches_closed_form():
     x1 = list(r2.standard_normal((3, 8, 8, 4)))
     beta, ab = 0.3, 0.7
     want = [(p - beta / np.sqrt(1 - ab) * 0.25) / np.sqrt(1 - beta) for p in x1]
-    for o, w in zip(out.planes, want):
-        assert np.allclose(o.data, w, atol=1e-12)
+    for o, w in zip(out.tensor.data, want):
+        assert np.allclose(o, w, atol=1e-12)
 
 
 def test_sampling_deterministic_under_seed():
@@ -286,14 +285,12 @@ def test_sampling_deterministic_under_seed():
     sched = df.make_schedule(20)
     (a,) = df.ddpm_sample_many(den, [dataset[0].tokens], sched, np.random.default_rng(11))
     (b,) = df.ddpm_sample_many(den, [dataset[0].tokens], sched, np.random.default_rng(11))
-    for pa, pb in zip(a.planes, b.planes):
-        assert np.array_equal(pa.data, pb.data)
+    assert np.array_equal(a.tensor.data, b.tensor.data)
     toks = [dataset[i % 2].tokens for i in range(4)]
     many1 = df.ddpm_sample_many(den, toks, sched, np.random.default_rng(12), chunk=2)
     many2 = df.ddpm_sample_many(den, toks, sched, np.random.default_rng(12), chunk=2)
     for ta, tb in zip(many1, many2):
-        for pa, pb in zip(ta.planes, tb.planes):
-            assert np.array_equal(pa.data, pb.data)
+        assert np.array_equal(ta.tensor.data, tb.tensor.data)
 
 
 def test_consistency_zero_for_exact_projections():
@@ -304,9 +301,9 @@ def test_consistency_zero_for_exact_projections():
 def test_consistency_of_shifted_box_matches_enumeration():
     d = 8
     ex = small_dataset(1, d=d)[0]
-    planes = [p.data.copy() for p in ex.x0.planes]
+    planes = ex.x0.tensor.data.copy()
     planes[0] = np.roll(planes[0], 1, axis=1)  # shift P_xy one texel along x (u axis)
-    tri = Triplane(tuple(Tensor(p) for p in planes))
+    tri = Triplane(planes)
     got = df.cross_plane_consistency(tri)
 
     # direct enumeration oracle over the three axis pairings
@@ -336,7 +333,7 @@ def test_consistency_of_random_planes_bounded_below():
 
     scores = []
     for _ in range(60):
-        tri = Triplane(tuple(Tensor(rng.uniform(size=(d, d, 4))) for _ in range(3)))
+        tri = Triplane(rng.uniform(size=(3, d, d, 4)))
         scores.append(df.cross_plane_consistency(tri))
     assert np.mean(scores) > 0.8 * analytic
 

@@ -99,11 +99,11 @@ def test_field_eval_grad_check_wrt_planes():
     pts = rng.uniform(-0.85, 0.85, size=(5, 3)) + 0.0137
 
     def f(x):
-        t2 = tp.Triplane((ad.reshape(x, (d, d, c)), tri.planes[1], tri.planes[2]))
+        t2 = tp.Triplane(ad.concat([ad.reshape(x, (1, d, d, c)), ad.narrow(tri.tensor, 0, 1, 2)]))
         sigma, _ = rd.field_eval_batch(t2, heads, pts)
         return ad.tsum(sigma)
 
-    err = ad.grad_check(f, Tensor(tri.planes[0].data.copy(), requires_grad=True))
+    err = ad.grad_check(f, Tensor(tri.tensor.data[0].copy(), requires_grad=True))
     assert err < 1e-5
 
 
@@ -233,10 +233,10 @@ def test_render_grad_check_through_small_view():
     bundle = rd.generate_rays(cam)
 
     def f(x):
-        t2 = tp.Triplane((ad.reshape(x, (d, d, c)), tri.planes[1], tri.planes[2]))
+        t2 = tp.Triplane(ad.concat([ad.reshape(x, (1, d, d, c)), ad.narrow(tri.tensor, 0, 1, 2)]))
         rgb, mask, depth = rd.render_rays(t2, heads, bundle.origins, bundle.directions,
                                           bundle.t_near, bundle.t_far, 8)
         return ad.tmean(rgb)
 
-    err = ad.grad_check(f, Tensor(tri.planes[0].data.copy(), requires_grad=True))
+    err = ad.grad_check(f, Tensor(tri.tensor.data[0].copy(), requires_grad=True))
     assert err < 1e-4

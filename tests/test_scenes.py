@@ -152,8 +152,8 @@ def test_toy_dataset_consistency_and_extent_agreement():
         assert df.cross_plane_consistency(ex.x0) == 0.0
         # x-extent shadow agrees between P_xy and P_xz
         from trifield.triplane import plane_marginal
-        mx_xy = plane_marginal(ex.x0.planes[0].data, "v", "max")[:, 0]
-        mx_xz = plane_marginal(ex.x0.planes[1].data, "v", "max")[:, 0]
+        mx_xy = plane_marginal(ex.x0.tensor.data[0], "v", "max")[:, 0]
+        mx_xz = plane_marginal(ex.x0.tensor.data[1], "v", "max")[:, 0]
         assert np.array_equal(mx_xy, mx_xz)
 
 
@@ -162,8 +162,7 @@ def test_toy_dataset_deterministic():
     b = sc.make_toy_triplane_dataset(4, d=16, c=4, seed=9)
     for ea, eb in zip(a, b):
         assert ea.caption == eb.caption
-        for pa, pb in zip(ea.x0.planes, eb.x0.planes):
-            assert np.array_equal(pa.data, pb.data)
+        assert np.array_equal(ea.x0.tensor.data, eb.x0.tensor.data)
 
 
 def test_toy_dataset_validation():

@@ -159,8 +159,7 @@ def test_fit_is_deterministic():
     r1 = tr.fit_scene(views, small_cfg())
     r2 = tr.fit_scene(views, small_cfg())
     assert r1.history == r2.history
-    for a, b in zip(r1.triplane.planes, r2.triplane.planes):
-        assert np.array_equal(a.data, b.data)
+    assert np.array_equal(r1.triplane.tensor.data, r2.triplane.tensor.data)
 
 
 def test_fit_smoothed_loss_non_increasing_early():
@@ -174,7 +173,7 @@ def test_fit_smoothed_loss_non_increasing_early():
 def test_fit_returns_f32_snapped_parameters():
     views = vacuum_views()
     result = tr.fit_scene(views, small_cfg(iterations=60))
-    for p in list(result.triplane.planes) + result.heads.tensors():
+    for p in [result.triplane.tensor] + result.heads.tensors():
         assert np.array_equal(p.data, p.data.astype("<f4").astype(np.float64))
 
 
@@ -191,7 +190,7 @@ def test_fit_halts_on_divergence_with_finite_checkpoint():
     result = tr.fit_scene(poisoned, small_cfg(iterations=50))
     assert result.diverged
     assert result.steps_run < 50
-    for p in list(result.triplane.planes) + result.heads.tensors():
+    for p in [result.triplane.tensor] + result.heads.tensors():
         assert np.all(np.isfinite(p.data))
 
 

@@ -14,17 +14,15 @@ def test_unstack_planes_inverts_stack_planes(b):
     tris = [tp.random_triplane(rng, d, c, scale=1.0, requires_grad=True) for _ in range(b)]
     x = tp.stack_planes(tris)
     # per example xy, xz, yz, each plane's D*D rows [v, u] row-major
-    assert np.array_equal(x.data, np.concatenate([p.data.reshape(d * d, c) for tri in tris for p in tri.planes]))
+    assert np.array_equal(x.data, np.concatenate([p.reshape(d * d, c) for tri in tris for p in tri.tensor.data]))
     back = tp.unstack_planes(x, d, c)
     assert len(back) == b
     for got, want in zip(back, tris):
-        for g, w in zip(got.planes, want.planes):
-            assert np.array_equal(g.data, w.data)
+        assert np.array_equal(got.tensor.data, want.tensor.data)
     probe = rng.normal(size=(b, 3, d, d, c))
     ad.tsum(ad.mul(x, Tensor(probe.reshape(-1, c)))).backward()  # the tape carries through the stack
     for tri, pb in zip(tris, probe):
-        for p, want in zip(tri.planes, pb):
-            assert np.array_equal(p.grad, want)
+        assert np.array_equal(tri.tensor.grad, pb)
 
 
 def test_unstack_planes_rejects_rows_that_are_not_whole_triplanes():
@@ -37,7 +35,7 @@ def test_unstack_planes_rejects_rows_that_are_not_whole_triplanes():
 def tri_from(plane_xy, d=None, c=None):
     d = d or plane_xy.shape[0]
     c = c or plane_xy.shape[2]
-    return Triplane((plane_xy, np.zeros((d, d, c)), np.zeros((d, d, c))))
+    return Triplane(np.stack([plane_xy, np.zeros((d, d, c)), np.zeros((d, d, c))]))
 
 
 def plane_coords(p, d):
@@ -49,7 +47,7 @@ def plane_coords(p, d):
     v, u = np.meshgrid(np.arange(d, dtype=np.float64), np.arange(d, dtype=np.float64), indexing="ij")
     ramp = np.stack([u, v], axis=-1)
     pts = np.asarray(p, dtype=np.float64).reshape(1, 3)
-    return tp.sample_triplane(Triplane((ramp, ramp, ramp)), pts).data.reshape(3, 2)
+    return tp.sample_triplane(Triplane(np.stack([ramp, ramp, ramp])), pts).data.reshape(3, 2)
 
 
 def test_project_point_center():
@@ -77,7 +75,7 @@ def test_project_point_clamps_and_counts():
 
 
 def test_sample_rejects_unbatched_point():
-    tri = Triplane(tuple(np.zeros((3, 3, 1)) for _ in range(3)))
+    tri = Triplane(np.zeros((3, 3, 3, 1)))
     with pytest.raises(ValueError, match=r"\(N, 3\)"):
         tp.sample_triplane(tri, np.zeros(3))
 
@@ -93,7 +91,7 @@ def test_projection_round_trip():
 
 
 def test_sample_constant_planes():
-    tri = Triplane(tuple(np.full((6, 6, 2), k) for k in (3.0, 3.0, 3.0)))
+    tri = Triplane(np.full((3, 6, 6, 2), 3.0))
     rng = np.random.default_rng(1)
     for _ in range(10):
         f = tp.sample_triplane(tri, rng.uniform(-1, 1, size=(1, 3)))
@@ -103,7 +101,7 @@ def test_sample_constant_planes():
 def test_sample_at_grid_knot_returns_stored_pixel():
     rng = np.random.default_rng(2)
     d, c = 5, 3
-    planes = tuple(rng.normal(size=(d, d, c)) for _ in range(3))
+    planes = rng.normal(size=(3, d, d, c))
     tri = Triplane(planes)
     # world point whose projections land exactly on integer grid coords
     u, v = 3, 1
@@ -125,7 +123,7 @@ def test_sampling_linear_in_plane_contents():
     t1 = tp.random_triplane(rng, d, c, scale=1.0)
     t2 = tp.random_triplane(rng, d, c, scale=1.0)
     a, b = 0.7, -1.3
-    mix = Triplane(tuple(Tensor(a * p.data + b * q.data) for p, q in zip(t1.planes, t2.planes)))
+    mix = Triplane(a * t1.tensor.data + b * t2.tensor.data)
     pts = rng.uniform(-1, 1, size=(20, 3))
     f_mix = tp.sample_triplane(mix, pts).data
     f_sep = a * tp.sample_triplane(t1, pts).data + b * tp.sample_triplane(t2, pts).data
@@ -140,10 +138,9 @@ def test_sampling_grad_check_wrt_plane_contents():
     probe = Tensor(rng.normal(size=(6, 3 * c)))
 
     def f(x):
-        t2 = Triplane((ad.reshape(x, (d, d, c)), tri.planes[1], tri.planes[2]))
-        return ad.tsum(ad.mul(tp.sample_triplane(t2, pts), probe))
+        return ad.tsum(ad.mul(tp.sample_triplane(Triplane(x), pts), probe))
 
-    err = ad.grad_check(f, Tensor(tri.planes[0].data.copy(), requires_grad=True))
+    err = ad.grad_check(f, Tensor(tri.tensor.data.copy(), requires_grad=True))  # all three planes
     assert err < 1e-6
 
 
@@ -187,12 +184,15 @@ def test_plane_marginal_validates_arguments():
 
 
 def test_triplane_shape_and_finite_validation():
-    with pytest.raises(ValueError):
-        Triplane((np.zeros((3, 3, 1)), np.zeros((3, 3, 2)), np.zeros((3, 3, 1))))
-    bad = np.zeros((3, 3, 1))
-    bad[0, 0, 0] = np.nan
-    with pytest.raises(ValueError):
-        Triplane((bad, np.zeros((3, 3, 1)), np.zeros((3, 3, 1))))
+    # one plane, a leading axis other than 3, non-square planes
+    for shape in ((3, 3, 1), (2, 3, 3, 1), (4, 3, 3, 1), (3, 3, 4, 1)):
+        with pytest.raises(ValueError, match=r"one \(3, D, D, C\) tensor"):
+            Triplane(np.zeros(shape))
+    for index, pid in (((0, 0, 0, 0), "xy"), ((2, 1, 2, 0), "yz")):
+        bad = np.zeros((3, 3, 3, 1))
+        bad[index] = np.nan
+        with pytest.raises(ValueError, match=f"plane {pid} contains non-finite values"):
+            Triplane(bad)
 
 
 def oracle_lookup(planes, pts, g):
@@ -245,25 +245,25 @@ def test_lookup_bit_identical_to_numpy_oracle(monkeypatch, d, c, n, reach, block
     planes = [rng.normal(size=(d, d, c)) for _ in range(3)]
     pts = rng.uniform(-reach, reach, size=(n, 3))
     probe = rng.normal(size=(n, 3 * c))
-    tri = Triplane(tuple(Tensor(p.copy(), requires_grad=True) for p in planes))
+    tri = Triplane(Tensor(np.stack(planes), requires_grad=True))
     feat = tp.sample_triplane(tri, pts)
     ad.tsum(ad.mul(feat, Tensor(probe))).backward()
     want_feat, want_grads = oracle_lookup(planes, pts, probe)
     assert np.array_equal(feat.data, want_feat)
-    for got, want in zip(tri.planes, want_grads):
-        assert np.array_equal(got.grad, want)
+    for got, want in zip(tri.tensor.grad, want_grads):
+        assert np.array_equal(got, want)
 
 
 def test_lookup_returns_adjoints_only_for_parents_that_require_grad():
     rng = np.random.default_rng(8)
     d, c, n = 4, 2, 7
     g = rng.normal(size=(n, 3 * c))
-    planes = [Tensor(rng.normal(size=(d, d, c)), requires_grad=True) for _ in range(3)]
-    planes[1].requires_grad = False
+    planes = Tensor(rng.normal(size=(3, d, d, c)), requires_grad=True)
     pts = Tensor(rng.uniform(-0.9, 0.9, size=(n, 3)))
     got = tp.triplane_lookup(planes, pts)._backward(g)
-    assert [t for t, _ in got] == [planes[0], planes[2]]  # no point adjoint, none for plane 1
-    frozen = [Tensor(p.data) for p in planes]
+    assert [t for t, _ in got] == [planes]  # no point adjoint
+    assert got[0][1].shape == (3, d, d, c)
+    frozen = Tensor(planes.data)
     moving = Tensor(pts.data, requires_grad=True)
     got = tp.triplane_lookup(frozen, moving)._backward(g)
     assert [t for t, _ in got] == [moving]
@@ -271,7 +271,7 @@ def test_lookup_returns_adjoints_only_for_parents_that_require_grad():
 
 
 def test_sample_rejects_non_finite_points():
-    tri = Triplane(tuple(np.zeros((3, 3, 1)) for _ in range(3)))
+    tri = Triplane(np.zeros((3, 3, 3, 1)))
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite"):
             tp.sample_triplane(tri, np.array([[0.0, bad, 0.0]]))
