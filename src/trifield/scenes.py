@@ -3,7 +3,11 @@ cameras, and the procedural box-triplane dataset.
 
 The oracle renderer evaluates closed-form density/color fields directly in
 numpy; it shares the renderer's quadrature formulas but none of its code, so
-the two paths cross-check each other.
+the two paths cross-check each other. It integrates a frame in chunks of
+``max(1, ORACLE_CHUNK_POINTS // n_fine)`` rays, so its working set is a few
+arrays of ~32k points, not the whole frame's points: one 64x64 view at 1024
+samples peaks at ~5 MB of allocations, where a whole-frame pass took ~544 MB.
+Each ray's result does not depend on the chunking.
 """
 
 from __future__ import annotations
@@ -17,6 +21,9 @@ from .render import Camera, RenderOutput, generate_rays, sample_points_batch
 from .triplane import Triplane
 
 SQRT3 = float(np.sqrt(3.0))
+
+# sample points per oracle chunk: ~256 KB per (rays, n_fine) array
+ORACLE_CHUNK_POINTS = 1 << 15
 
 # 75 degrees: keeps the whole cube in frame from any orbit radius >= 3
 DEFAULT_FOV = float(np.deg2rad(75.0))
@@ -41,6 +48,13 @@ BOX_PALETTE = {
 }
 
 
+def _points(points):
+    p = np.asarray(points, dtype=np.float64)
+    if p.ndim != 2 or p.shape[1] != 3:
+        raise ValueError(f"scene fields take (N, 3) points, got shape {p.shape}")
+    return p
+
+
 @dataclass
 class AnalyticScene:
     kind: str
@@ -48,13 +62,14 @@ class AnalyticScene:
 
     def sigma(self, points):
         """Closed-form density at (N, 3) points."""
-        p = np.asarray(points, dtype=np.float64)
+        p = _points(points)
         if self.kind == "sphere":
             inside = np.linalg.norm(p, axis=-1) <= self.params["radius"]
             return self.params["density"] * inside
         if self.kind == "cube":
-            inside = np.all(np.abs(p) <= self.params["half"], axis=-1)
-            return self.params["density"] * inside
+            h = self.params["half"]
+            x, y, z = p[:, 0], p[:, 1], p[:, 2]
+            return self.params["density"] * ((np.abs(x) <= h) & (np.abs(y) <= h) & (np.abs(z) <= h))
         if self.kind == "two_blob":
             c1, c2 = self.params["centers"]
             w2 = 2.0 * self.params["width"] ** 2
@@ -67,19 +82,20 @@ class AnalyticScene:
 
     def color(self, points):
         """Closed-form color at (N, 3) points, in [0, 1]^3."""
-        p = np.asarray(points, dtype=np.float64)
-        n = p.shape[0]
+        p = _points(points)
         if self.kind == "sphere":
             return np.clip(0.5 + 0.5 * p / self.params["radius"], 0.0, 1.0)
         if self.kind == "cube":
-            half = self.params["half"]
-            axis = np.argmax(np.abs(p), axis=-1)
-            sign = np.where(p[np.arange(n), axis] >= 0.0, 1, -1)
-            out = np.empty((n, 3))
-            for (ax, sg), rgb in CUBE_FACE_COLORS.items():
-                sel = (axis == ax) & (sign == sg)
-                out[sel] = rgb
-            return out
+            # face of the largest |coordinate|, the first one on ties (argmax's
+            # rule); a coordinate of -0.0 is on the + face
+            x, y, z = p[:, 0], p[:, 1], p[:, 2]
+            ax, ay, az = np.abs(x), np.abs(y), np.abs(z)
+            on_z = az > np.maximum(ax, ay)
+            on_y = ay > ax
+            axis = np.where(on_z, 2, on_y)
+            coord = np.where(on_z, z, np.where(on_y, y, x))
+            palette = np.array([CUBE_FACE_COLORS[(i, sg)] for i in range(3) for sg in (+1, -1)])
+            return palette.take(2 * axis + (coord < 0.0), axis=0)
         if self.kind == "two_blob":
             c1, c2 = self.params["centers"]
             w2 = 2.0 * self.params["width"] ** 2
@@ -89,8 +105,14 @@ class AnalyticScene:
             col2 = np.asarray(self.params["colors"][1])
             return (g1 * col1 + g2 * col2) / np.maximum(g1 + g2, 1e-300)
         if self.kind == "vacuum":
-            return np.zeros((n, 3))
+            return np.zeros((p.shape[0], 3))
         raise ValueError(f"unknown scene kind {self.kind!r}")
+
+
+def _require_finite(kind, params, names):
+    for name in names:
+        if not np.all(np.isfinite(np.asarray(params[name], dtype=np.float64))):
+            raise ValueError(f"{kind} {name} must be finite, got {params[name]}")
 
 
 def make_scene(kind, params=None):
@@ -99,6 +121,7 @@ def make_scene(kind, params=None):
     if kind == "sphere":
         params.setdefault("radius", 0.5)
         params.setdefault("density", 4.0)
+        _require_finite(kind, params, ("radius", "density"))
         if not (0.0 < params["radius"] < 1.0):
             raise ValueError(f"sphere radius must be in (0, 1), got {params['radius']}")
         if params["density"] <= 0.0:
@@ -106,6 +129,7 @@ def make_scene(kind, params=None):
     elif kind == "cube":
         params.setdefault("half", 0.6)
         params.setdefault("density", 20.0)
+        _require_finite(kind, params, ("half", "density"))
         if not (0.0 < params["half"] < 1.0):
             raise ValueError(f"cube half extent must be in (0, 1), got {params['half']}")
         if params["density"] <= 0.0:
@@ -113,12 +137,13 @@ def make_scene(kind, params=None):
     elif kind == "two_blob":
         params.setdefault("amplitude", 6.0)
         params.setdefault("width", 0.15)
-        if params["amplitude"] <= 0.0 or not (0.0 < params["width"] < 1.0):
-            raise ValueError(f"two_blob needs amplitude > 0 and width in (0, 1), got {params}")
         if "centers" not in params:
             params["centers"] = (np.array([-0.45, -0.15, 0.0]), np.array([0.45, 0.25, 0.1]))
         if "colors" not in params:
             params["colors"] = (np.array([1.0, 0.4, 0.1]), np.array([0.1, 0.5, 1.0]))
+        _require_finite(kind, params, ("amplitude", "width", "centers", "colors"))
+        if params["amplitude"] <= 0.0 or not (0.0 < params["width"] < 1.0):
+            raise ValueError(f"two_blob needs amplitude > 0 and width in (0, 1), got {params}")
     elif kind == "vacuum":
         pass
     else:
@@ -130,18 +155,28 @@ def oracle_render(scene, cam, n_fine):
     """Reference render at n_fine uniform (bin-midpoint) samples per ray.
 
     Same quadrature as the differentiable renderer, written independently in
-    plain numpy against the analytic fields.
+    plain numpy against the analytic fields. Rays go through the fields and
+    oracle_integrate ORACLE_CHUNK_POINTS // n_fine at a time; each ray's
+    pixel is the same as from one whole-frame pass.
     """
     if n_fine < 512:
         raise ValueError(f"oracle requires n_fine >= 512, got {n_fine}")
     bundle = generate_rays(cam)
     h, w = bundle.shape
     r = h * w
-    ts = sample_points_batch(bundle.t_near, bundle.t_far, r, n_fine)
-    pts = (bundle.origins[:, None, :] + ts[..., None] * bundle.directions[:, None, :]).reshape(r * n_fine, 3)
-    sig = scene.sigma(pts).reshape(r, n_fine)
-    col = scene.color(pts).reshape(r, n_fine, 3)
-    rgb, mask, depth = oracle_integrate(sig, col, ts, bundle.t_far)
+    chunk = max(1, ORACLE_CHUNK_POINTS // n_fine)
+    ts_chunk = sample_points_batch(bundle.t_near, bundle.t_far, min(chunk, r), n_fine)
+    pts_chunk = np.empty(ts_chunk.shape + (3,))
+    rgb, mask, depth = np.empty((r, 3)), np.empty(r), np.empty(r)
+    for lo in range(0, r, chunk):
+        hi = min(lo + chunk, r)
+        ts, pts = ts_chunk[:hi - lo], pts_chunk[:hi - lo]
+        for k in range(3):
+            pts[:, :, k] = bundle.origins[lo:hi, k, None] + ts * bundle.directions[lo:hi, k, None]
+        flat = pts.reshape(-1, 3)
+        sig = scene.sigma(flat).reshape(hi - lo, n_fine)
+        col = scene.color(flat).reshape(hi - lo, n_fine, 3)
+        rgb[lo:hi], mask[lo:hi], depth[lo:hi] = oracle_integrate(sig, col, ts, bundle.t_far)
     return RenderOutput(rgb.reshape(h, w, 3), mask.reshape(h, w), depth.reshape(h, w))
 
 

@@ -37,16 +37,39 @@ def test_positional_arguments_the_tracer_reads(tracing):
     # Tracer._count reads the points at args[1] of sample_triplane, and the
     # stacked rows at args[0] and the resolution at args[2] of
     # stacked_orthogonal_attention; the checkpoint.load hook sizes the file
-    # at args[0] of both checkpoint loaders
+    # at args[0] of both checkpoint loaders; the workloads call oracle_render
+    # with (scene, cam, n_fine) positionally
     for modname, attr, position, name in (
         ("trifield.triplane", "sample_triplane", 1, "points"),
         ("trifield.attention", "stacked_orthogonal_attention", 0, "x"),
         ("trifield.attention", "stacked_orthogonal_attention", 2, "d"),
         ("trifield.checkpoint", "load_fit_checkpoint", 0, "path"),
         ("trifield.diffusion", "load_denoiser", 0, "path"),
+        ("trifield.scenes", "oracle_render", 0, "scene"),
+        ("trifield.scenes", "oracle_render", 1, "cam"),
+        ("trifield.scenes", "oracle_render", 2, "n_fine"),
     ):
         fn = tracing._resolve(modname, attr)[2]
         assert list(inspect.signature(fn).parameters)[position] == name, f"{modname}.{attr}"
+
+
+def test_one_oracle_render_call_per_view(monkeypatch):
+    # scenes.oracle_ms is the scenes.oracle span's total over its call count,
+    # so a view must be one call of the public name, however it is chunked
+    from trifield import scenes as sc
+
+    calls = []
+    original = sc.oracle_render
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sc, "oracle_render", counted)
+    cam = sc.orbit_camera(0.7, 0.35, 3.0, height=33, width=47)
+    out = sc.oracle_render(sc.make_scene("cube"), cam, 512)
+    assert len(calls) == 1
+    assert out.image.shape == (33, 47, 3)
 
 
 def test_triplane_lookup_is_a_traced_primitive(tracing):

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,35 @@ def test_scene_parameter_validation():
         sc.make_scene("sphere", {"radius": 0.5, "density": -1.0})
     with pytest.raises(ValueError):
         sc.make_scene("nonsense")
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("cube", {"density": np.nan}),
+    ("cube", {"density": np.inf}),
+    ("cube", {"half": np.nan}),
+    ("sphere", {"density": np.nan}),
+    ("sphere", {"density": np.inf}),
+    ("sphere", {"radius": np.nan}),
+    ("two_blob", {"amplitude": np.inf}),
+    ("two_blob", {"amplitude": np.nan}),
+    ("two_blob", {"width": np.nan}),
+    ("two_blob", {"centers": (np.array([np.nan, 0.0, 0.0]), np.array([0.45, 0.25, 0.1]))}),
+    ("two_blob", {"colors": (np.array([1.0, 0.4, 0.1]), np.array([0.1, np.inf, 1.0]))}),
+])
+def test_scene_rejects_non_finite_parameters(kind, params):
+    with pytest.raises(ValueError, match="finite"):
+        sc.make_scene(kind, params)
+
+
+@pytest.mark.parametrize("kind", ["sphere", "cube", "two_blob", "vacuum"])
+@pytest.mark.parametrize("shape", [(5, 2), (5, 4), (3,), (2, 2, 3)])
+def test_scene_fields_take_n_by_3_points(kind, shape):
+    # a cube's sigma of (N, 2) points once tested two coordinates quietly
+    scene = sc.make_scene(kind)
+    with pytest.raises(ValueError, match=r"\(N, 3\)"):
+        scene.sigma(np.zeros(shape))
+    with pytest.raises(ValueError, match=r"\(N, 3\)"):
+        scene.color(np.zeros(shape))
 
 
 def test_sphere_inside_outside():
@@ -33,6 +65,84 @@ def test_cube_face_colors():
         [1, 0, 0], [0, 1, 1], [0, 1, 0], [1, 0, 1], [0, 0, 1], [1, 1, 0],
     ], dtype=float)
     assert np.array_equal(scene.color(pts), want)
+
+
+# the whole-frame oracle and argmax cube fields as they were before the chunked,
+# column-wise oracle; the current ones must match them bit for bit
+
+def _argmax_cube_sigma(scene, p):
+    inside = np.all(np.abs(p) <= scene.params["half"], axis=-1)
+    return scene.params["density"] * inside
+
+
+def _argmax_cube_color(p):
+    n = p.shape[0]
+    axis = np.argmax(np.abs(p), axis=-1)
+    sign = np.where(p[np.arange(n), axis] >= 0.0, 1, -1)
+    out = np.empty((n, 3))
+    for (ax, sg), rgb in sc.CUBE_FACE_COLORS.items():
+        sel = (axis == ax) & (sign == sg)
+        out[sel] = rgb
+    return out
+
+
+def _whole_frame_oracle(scene, cam, n_fine):
+    bundle = rd.generate_rays(cam)
+    h, w = bundle.shape
+    r = h * w
+    ts = rd.sample_points_batch(bundle.t_near, bundle.t_far, r, n_fine)
+    pts = (bundle.origins[:, None, :] + ts[..., None] * bundle.directions[:, None, :]).reshape(r * n_fine, 3)
+    if scene.kind == "cube":
+        sig, col = _argmax_cube_sigma(scene, pts), _argmax_cube_color(pts)
+    else:
+        sig, col = scene.sigma(pts), scene.color(pts)
+    rgb, mask, depth = sc.oracle_integrate(sig.reshape(r, n_fine), col.reshape(r, n_fine, 3), ts, bundle.t_far)
+    return rgb.reshape(h, w, 3), mask.reshape(h, w), depth.reshape(h, w)
+
+
+def _bit_identical(a, b):
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# 64x64 stops at 1024 samples: the whole-frame reference at 2048 peaks near
+# 1 GB, and 64x64 divides into whole chunks at 1024 and 2048 alike
+@pytest.mark.parametrize("kind", ["sphere", "cube", "two_blob", "vacuum"])
+@pytest.mark.parametrize("n_fine, height, width", [
+    (512, 1, 1), (1024, 1, 1), (2048, 1, 1),
+    (512, 33, 47), (1024, 33, 47), (2048, 33, 47),
+    (512, 64, 64), (1024, 64, 64),
+])
+def test_chunked_oracle_is_bit_identical_to_whole_frame(kind, n_fine, height, width):
+    # 33x47 = 1551 rays ends in a part chunk at every sample count
+    scene = sc.make_scene(kind)
+    cam = sc.orbit_camera(0.7, 0.35, 3.0, height=height, width=width)
+    out = sc.oracle_render(scene, cam, n_fine)
+    rgb, mask, depth = _whole_frame_oracle(scene, cam, n_fine)
+    assert _bit_identical(out.image, rgb)
+    assert _bit_identical(out.mask, mask)
+    assert _bit_identical(out.depth, depth)
+
+
+@pytest.mark.parametrize("half", [0.6, 0.3])
+def test_cube_fields_follow_argmax_on_ties(half):
+    # faces, edges, corners and signed zeros: every tie of the first-maximum rule
+    scene = sc.make_scene("cube", {"half": half, "density": 20.0})
+    pts = np.array(list(itertools.product([-0.6, -0.3, -0.0, 0.0, 0.3, 0.6], repeat=3)))
+    assert _bit_identical(scene.sigma(pts), _argmax_cube_sigma(scene, pts))
+    assert _bit_identical(scene.color(pts), _argmax_cube_color(pts))
+
+
+def test_oracle_memory_stays_chunk_sized():
+    # one 64x64 view at 1024 samples held ~544 MB of whole-frame arrays
+    scene = sc.make_scene("cube")
+    cam = sc.orbit_camera(0.7, 0.35, 3.0, height=64, width=64)
+    tracemalloc.start()
+    try:
+        sc.oracle_render(scene, cam, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20, f"oracle peak {peak / 2 ** 20:.1f} MB"
 
 
 def test_two_blob_center_amplitude():
