@@ -3,7 +3,6 @@ volume rendering, and a toy triplane diffusion model, verified against
 analytic oracles."""
 
 import ctypes
-import os
 
 __version__ = "0.1.0"
 
@@ -21,11 +20,8 @@ def _tune_allocator():
       heap to the kernel. Without it, the pages a pass frees mid-pass are
       trimmed and then faulted back in by the next pass: thousands of minor
       page faults per denoiser pass, none with it.
-    Best-effort: silently a no-op off glibc. Set TRIFIELD_NO_MALLOC_TUNE=1 to
-    skip both.
+    Best-effort: silently a no-op off glibc.
     """
-    if os.environ.get("TRIFIELD_NO_MALLOC_TUNE"):
-        return
     try:
         libc = ctypes.CDLL(None)
         libc.mallopt(-3, 1 << 30)  # M_MMAP_THRESHOLD

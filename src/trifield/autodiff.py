@@ -10,6 +10,11 @@ grad, so `requires_grad` alone decides whether a tape exists: a forward pass
 over inputs that need no gradient frees each intermediate as soon as it is
 no longer referenced.
 
+A backward closure, always named `bwd`, maps the output adjoint to
+`(parent, adjoint)` pairs, one for each parent that requires grad and none
+for any other, so no adjoint is computed only to be dropped. A one-parent
+node has a closure only when its parent requires grad.
+
 Shape discipline is strict: no implicit broadcasting except scalar-by-tensor.
 Anything that needs a shape change goes through an explicit op (`reshape`,
 `broadcast_to`, `narrow`, `gather`, ...), which keeps adjoints honest.
@@ -73,8 +78,6 @@ class Tensor:
                 node.grad += g
             if node._backward is not None:
                 for parent, pg in node._backward(g):
-                    if not parent.requires_grad:
-                        continue
                     key = id(parent)
                     if key in grads:
                         grads[key] = grads[key] + pg
@@ -116,9 +119,12 @@ def add(a, b):
     out_data = a.data + b.data
 
     def bwd(g):
-        ga = g.sum() if sa and not sb else g
-        gb = g.sum() if sb and not sa else g
-        return ((a, np.asarray(ga)), (b, np.asarray(gb)))
+        grads = []
+        if a.requires_grad:
+            grads.append((a, np.asarray(g.sum() if sa and not sb else g)))
+        if b.requires_grad:
+            grads.append((b, np.asarray(g.sum() if sb and not sa else g)))
+        return tuple(grads)
 
     return Tensor(out_data, _parents=(a, b), _backward=bwd, _op="add")
 
@@ -131,9 +137,12 @@ def sub(a, b):
     out_data = a.data - b.data
 
     def bwd(g):
-        ga = g.sum() if sa and not sb else g
-        gb = -(g.sum()) if sb and not sa else -g
-        return ((a, np.asarray(ga)), (b, np.asarray(gb)))
+        grads = []
+        if a.requires_grad:
+            grads.append((a, np.asarray(g.sum() if sa and not sb else g)))
+        if b.requires_grad:
+            grads.append((b, np.asarray(-(g.sum()) if sb and not sa else -g)))
+        return tuple(grads)
 
     return Tensor(out_data, _parents=(a, b), _backward=bwd, _op="sub")
 
@@ -146,34 +155,16 @@ def mul(a, b):
     out_data = a.data * b.data
 
     def bwd(g):
-        ga = g * b.data
-        gb = g * a.data
-        if sa and not sb:
-            ga = ga.sum()
-        if sb and not sa:
-            gb = gb.sum()
-        return ((a, np.asarray(ga)), (b, np.asarray(gb)))
+        grads = []
+        if a.requires_grad:
+            ga = g * b.data
+            grads.append((a, np.asarray(ga.sum() if sa and not sb else ga)))
+        if b.requires_grad:
+            gb = g * a.data
+            grads.append((b, np.asarray(gb.sum() if sb and not sa else gb)))
+        return tuple(grads)
 
     return Tensor(out_data, _parents=(a, b), _backward=bwd, _op="mul")
-
-
-def div(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    sa, sb = a.data.ndim == 0, b.data.ndim == 0
-    if not (sa or sb):
-        _check_same_shape("div", a.data, b.data)
-    out_data = a.data / b.data
-
-    def bwd(g):
-        ga = g / b.data
-        gb = -g * a.data / (b.data * b.data)
-        if sa and not sb:
-            ga = ga.sum()
-        if sb and not sa:
-            gb = gb.sum()
-        return ((a, np.asarray(ga)), (b, np.asarray(gb)))
-
-    return Tensor(out_data, _parents=(a, b), _backward=bwd, _op="div")
 
 
 def matmul(a, b):
@@ -188,9 +179,12 @@ def matmul(a, b):
     out_data = a.data @ b.data
 
     def bwd(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return ((a, ga), (b, gb))
+        grads = []
+        if a.requires_grad:
+            grads.append((a, g @ np.swapaxes(b.data, -1, -2)))
+        if b.requires_grad:
+            grads.append((b, np.swapaxes(a.data, -1, -2) @ g))
+        return tuple(grads)
 
     return Tensor(out_data, _parents=(a, b), _backward=bwd, _op="matmul")
 
@@ -208,8 +202,8 @@ def concat(tensors, axis=0):
     splits = np.cumsum(sizes)[:-1]
 
     def bwd(g):
-        parts = np.split(g, splits, axis=axis)
-        return tuple((t, p) for t, p in zip(tensors, parts))
+        parts = np.split(g, splits, axis=axis)  # views: a part nobody needs costs no copy
+        return tuple((t, p) for t, p in zip(tensors, parts) if t.requires_grad)
 
     return Tensor(out_data, _parents=tuple(tensors), _backward=bwd, _op="concat")
 
@@ -297,16 +291,6 @@ def exp(a):
     return Tensor(out_data, _parents=(a,), _backward=bwd, _op="exp")
 
 
-def log(a):
-    a = as_tensor(a)
-    out_data = np.log(a.data)
-
-    def bwd(g):
-        return ((a, g / a.data),)
-
-    return Tensor(out_data, _parents=(a,), _backward=bwd, _op="log")
-
-
 def softplus(a):
     a = as_tensor(a)
     # stable: log1p(exp(-|x|)) + max(x, 0)
@@ -347,7 +331,12 @@ def add_rowvec(a, v):
     out_data = a.data + v.data[None, :]
 
     def bwd(g):
-        return ((a, g), (v, g.sum(axis=0)))
+        grads = []
+        if a.requires_grad:
+            grads.append((a, g))
+        if v.requires_grad:
+            grads.append((v, g.sum(axis=0)))
+        return tuple(grads)
 
     return Tensor(out_data, _parents=(a, v), _backward=bwd, _op="add_rowvec")
 
@@ -437,13 +426,17 @@ def layer_norm(x, gamma, beta, eps=1e-6):
     n = x.data.shape[-1]
 
     def bwd(g):
-        gg = g * gamma.data
-        m1 = gg.mean(axis=-1, keepdims=True)
-        m2 = (gg * xhat).mean(axis=-1, keepdims=True)
-        gx = inv * (gg - m1 - xhat * m2)
-        ggamma = (g * xhat).reshape(-1, n).sum(axis=0)
-        gbeta = g.reshape(-1, n).sum(axis=0)
-        return ((x, gx), (gamma, ggamma), (beta, gbeta))
+        grads = []
+        if x.requires_grad:
+            gg = g * gamma.data
+            m1 = gg.mean(axis=-1, keepdims=True)
+            m2 = (gg * xhat).mean(axis=-1, keepdims=True)
+            grads.append((x, inv * (gg - m1 - xhat * m2)))
+        if gamma.requires_grad:
+            grads.append((gamma, (g * xhat).reshape(-1, n).sum(axis=0)))
+        if beta.requires_grad:
+            grads.append((beta, g.reshape(-1, n).sum(axis=0)))
+        return tuple(grads)
 
     return Tensor(out_data, _parents=(x, gamma, beta), _backward=bwd, _op="layer_norm")
 
@@ -460,7 +453,7 @@ def mlp(x, layers):
     between layers, done in place on one buffer per layer. Only the post-relu
     activations are kept: `post > 0` is the mask of `pre > 0`. The backward
     takes the matmul, add_rowvec and relu adjoints in the chain's order, and
-    computes an adjoint only for a parent that requires grad.
+    carries the adjoint down only as far as a parent below needs it.
     """
     x = as_tensor(x)
     layers = [(as_tensor(w), as_tensor(b)) for w, b in layers]
@@ -598,7 +591,7 @@ def primitive_suite(seed=0):
         return Tensor(rng.normal(size=shape))
 
     x4 = rng.normal(size=(3, 4)) + 0.1  # offset keeps relu away from its kink
-    pos = np.abs(rng.normal(size=(3, 4))) + 0.5
+    rng.normal(size=(3, 4))  # spare draw; it and the one below keep every entry's input, and its report line, fixed
     k_add, k_sub, k_mul = c(3, 4), c(3, 4), c(3, 4)
     k_mm, k_mmb = c(4, 2), c(2, 4, 3)
     k_cat, k_rsh, k_tr = c(3, 8), c(4, 3), c(4, 3)
@@ -606,13 +599,14 @@ def primitive_suite(seed=0):
     k_sm, k_sumax, k_meanax, k_cs = c(3, 4), c(4), c(3), c(3, 4)
     ln_g, ln_b, k_ln = c(4), c(4), c(3, 4)
     gi = np.array([2, 0, 1, 2, 2])
-    pos_t = Tensor(pos / (np.abs(pos).max() * 2) + 0.5)  # safely positive for div/log
 
     suite = [
         ("add", lambda t: tsum(mul(add(t, k_add), add(t, k_add))), _rng_inputs(rng, (3, 4))),
         ("sub", lambda t: tsum(mul(sub(t, k_sub), sub(t, k_sub))), _rng_inputs(rng, (3, 4))),
         ("mul", lambda t: tsum(mul(t, k_mul)), _rng_inputs(rng, (3, 4))),
-        ("div", lambda t: tsum(div(t, pos_t)), _rng_inputs(rng, (3, 4))),
+    ]
+    rng.normal(size=(3, 4))  # spare draw
+    suite += [
         ("scalar_mul", lambda t: tsum(mul(t, 2.5)), _rng_inputs(rng, (3, 4))),
         ("matmul", lambda t: tsum(matmul(t, k_mm)), _rng_inputs(rng, (3, 4))),
         ("matmul_batched", lambda t: tsum(matmul(t, k_mmb)), _rng_inputs(rng, (2, 3, 4))),
@@ -625,7 +619,6 @@ def primitive_suite(seed=0):
         ("exp", lambda t: tsum(exp(t)), _rng_inputs(rng, (3, 4))),
         ("sin", lambda t: tsum(mul(sin(t), k_add)), _rng_inputs(rng, (3, 4))),
         ("cos", lambda t: tsum(mul(cos(t), k_sub)), _rng_inputs(rng, (3, 4))),
-        ("log", lambda t: tsum(log(t)), Tensor(pos.copy(), requires_grad=True)),
         ("softplus", lambda t: tsum(softplus(t)), _rng_inputs(rng, (3, 4))),
         ("sigmoid", lambda t: tsum(sigmoid(t)), _rng_inputs(rng, (3, 4))),
         ("relu", lambda t: tsum(relu(t)), Tensor(x4.copy(), requires_grad=True)),

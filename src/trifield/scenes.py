@@ -211,14 +211,8 @@ def look_at_origin(position):
 
 def camera_orbit(count, radius, elevation, fov=DEFAULT_FOV, height=64, width=64, azimuth_offset=0.0):
     """Evenly spaced look-at-origin cameras on a constant-elevation orbit."""
-    if radius <= SQRT3:
-        raise ValueError(f"orbit radius must exceed sqrt(3) so the cube stays in frame, got {radius}")
-    cams = []
-    for k in range(count):
-        az = azimuth_offset + 2.0 * np.pi * k / count
-        pos = radius * np.array([np.cos(elevation) * np.cos(az), np.cos(elevation) * np.sin(az), np.sin(elevation)])
-        cams.append(Camera(pos, look_at_origin(pos), fov, height, width))
-    return cams
+    return [orbit_camera(azimuth_offset + 2.0 * np.pi * k / count, elevation, radius, fov, height, width)
+            for k in range(count)]
 
 
 def orbit_camera(azimuth, elevation, radius, fov=DEFAULT_FOV, height=64, width=64):

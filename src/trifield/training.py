@@ -19,15 +19,13 @@ from .triplane import Triplane, random_triplane
 
 @dataclass
 class LossWeights:
-    """Term weights of the composite loss; perceptual term is off unless hooked."""
+    """Term weights of the composite loss."""
 
     lambda_mask: float = 0.5
     lambda_depth: float = 1.0
-    lambda_perceptual: float = 2.0
-    perceptual_hook: object = None
 
     def __post_init__(self):
-        if min(self.lambda_mask, self.lambda_depth, self.lambda_perceptual) < 0.0:
+        if min(self.lambda_mask, self.lambda_depth) < 0.0:
             raise ValueError("loss weights must be non-negative")
 
 
@@ -37,7 +35,7 @@ def mse(a, b):
 
 
 def render_loss(preds, gts, weights=None):
-    """Sum over views of image, mask, depth MSEs plus the optional perceptual term."""
+    """Sum over views of image, mask and depth MSEs."""
     weights = weights or LossWeights()
     if len(preds) != len(gts) or not preds:
         raise ValueError(f"need equal non-empty view batches, got {len(preds)} vs {len(gts)}")
@@ -47,24 +45,8 @@ def render_loss(preds, gts, weights=None):
             mse(p.image, g.image),
             add(mul(mse(p.mask, g.mask), weights.lambda_mask), mul(mse(p.depth, g.depth), weights.lambda_depth)),
         )
-        if weights.perceptual_hook is not None:
-            term = add(term, mul(weights.perceptual_hook(p.image, g.image), weights.lambda_perceptual))
         total = term if total is None else add(total, term)
     return total
-
-
-def pooled_mse_hook(pred_image, gt_image):
-    """Built-in perceptual stand-in: MSE on 4x average-pooled images."""
-
-    def pool(x):
-        t = ad.as_tensor(x)
-        h, w, c = t.data.shape
-        if h % 4 or w % 4:
-            raise ValueError(f"pooled hook needs H, W divisible by 4, got {(h, w)}")
-        t = ad.reshape(t, (h // 4, 4, w // 4, 4, c))
-        return tmean(tmean(t, axis=3), axis=1)
-
-    return mse(pool(pred_image), pool(gt_image))
 
 
 class AdamW:

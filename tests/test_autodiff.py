@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -228,30 +230,71 @@ def test_mlp_node_is_bit_identical_to_the_composed_chain(depth):
             assert got is None or np.array_equal(got, want), (mask, k)
 
 
-def test_mlp_returns_adjoints_only_for_parents_that_require_grad():
-    rng = np.random.default_rng(30)
-    x, layers, _ = _mlp_case(rng, 3)
-    xt = Tensor(x)
-    lt = [(Tensor(w), Tensor(b)) for w, b in layers]
-    lt[0][0].requires_grad = True  # the first weight needs the adjoint to flow through every layer
-    lt[2][1].requires_grad = True
-    out = ad.mlp(xt, lt)
-    returned = []
-    closure = out._backward
+def _operands(arg):
+    """The tensor (or scalar) operands of a primitive call, in argument order."""
+    if isinstance(arg, (list, tuple)):
+        return [leaf for a in arg for leaf in _operands(a)]
+    return [arg] if isinstance(arg, (Tensor, float)) else []
 
-    def wrapped(g):
-        pairs = closure(g)
-        returned.extend(t for t, _ in pairs)
-        return pairs
 
-    out._backward = wrapped
-    ad.tsum(out).backward()
-    assert len(returned) == 2
-    assert {id(t) for t in returned} == {id(lt[0][0]), id(lt[2][1])}
-    assert lt[0][0].grad is not None and lt[0][1].grad is None and xt.grad is None
-    frozen = ad.mlp(Tensor(x, requires_grad=True), [(Tensor(w), Tensor(b)) for w, b in layers])
-    got = frozen._backward(np.ones(frozen.data.shape))
-    assert [t for t, _ in got] == [frozen._parents[0]]
+def _with_operands(arg, fresh):
+    if isinstance(arg, (list, tuple)):
+        return type(arg)(_with_operands(a, fresh) for a in arg)
+    return fresh(arg) if isinstance(arg, (Tensor, float)) else arg
+
+
+def _adjoints(fn, args, kwargs, grad_mask):
+    """Operand index -> adjoints the closure of fn(...) returns when the flagged operands require grad."""
+    flags = iter(grad_mask)
+    made = []
+
+    def fresh(leaf):
+        made.append(Tensor(np.array(leaf.data if isinstance(leaf, Tensor) else leaf), requires_grad=next(flags)))
+        return made[-1]
+
+    out = fn(*_with_operands(args, fresh), **kwargs)
+    got = {}
+    for parent, adjoint in out._backward(np.random.default_rng(0).normal(size=out.data.shape)):
+        got.setdefault(next(k for k, t in enumerate(made) if t is parent), []).append(adjoint)
+    return got
+
+
+def test_closures_return_adjoints_only_for_parents_that_require_grad(monkeypatch):
+    # every call of a multi-operand primitive the suite makes, plus a 3-layer
+    # mlp whose backward must stop below the deepest parent that needs grad
+    calls = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            if len(_operands(args)) > 1:
+                calls.append((fn, args, kwargs))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, fn in list(vars(ad).items()):
+        code = getattr(fn, "__code__", None)  # a primitive builds its closure, named bwd
+        if code is not None and any(getattr(c, "co_name", None) == "bwd" for c in code.co_consts):
+            monkeypatch.setattr(ad, name, recording(fn))
+    for _, f, x in ad.primitive_suite(seed=0):
+        f(x)
+    monkeypatch.undo()
+    assert {fn.__name__ for fn, _, _ in calls} == {"add", "sub", "mul", "matmul", "concat", "add_rowvec",
+                                                     "layer_norm", "mlp"}
+    x, layers, _ = _mlp_case(np.random.default_rng(30), 3)
+    calls.append((ad.mlp, (Tensor(x), [(Tensor(w), Tensor(b)) for w, b in layers]), {}))
+
+    for fn, args, kwargs in calls:
+        n = len(_operands(args))
+        full = _adjoints(fn, args, kwargs, (True,) * n)
+        for mask in itertools.product((False, True), repeat=n):
+            if not any(mask):
+                continue
+            got = _adjoints(fn, args, kwargs, mask)
+            assert sorted(got) == [k for k in range(n) if mask[k]], (fn.__name__, mask)
+            for k, adjoints in got.items():
+                assert len(adjoints) == len(full[k]), (fn.__name__, mask, k)
+                for a, b in zip(adjoints, full[k]):
+                    assert np.array_equal(a, b), (fn.__name__, mask, k)
 
 
 @pytest.mark.parametrize("bad_layer", [0, 2])

@@ -1,4 +1,5 @@
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -169,6 +170,41 @@ def test_gradcheck_fault_injection_in_the_mlp_node_fails(capsys):
         assert run_cli("gradcheck", "--scope", "numerics", "--inject-fault", op) == 1
         failed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if line.endswith("FAIL")]
         assert failed == [f"numerics.{op}"]
+
+
+SOFTPLUS_FAILS = ["renderer.field_eval_sigma", "renderer.field_eval_sigma_w0", "renderer.integrate_ray",
+                  "renderer.render_loss_path"]
+
+
+def _renderer_failures(capsys, *flags):
+    code = run_cli("gradcheck", "--scope", "renderer", *flags)
+    failed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if line.endswith("FAIL")]
+    assert code == (1 if failed else 0)
+    return failed
+
+
+def test_inject_fault_reaches_modules_loaded_before_it(capsys):
+    # render binds softplus by name, so corrupting only the autodiff module's
+    # attribute would leave its calls clean once it is loaded
+    import trifield.render  # noqa: F401
+
+    assert _renderer_failures(capsys, "--inject-fault", "softplus") == SOFTPLUS_FAILS
+    assert _renderer_failures(capsys) == []
+
+
+def test_inject_fault_restores_modules_first_imported_during_the_run(capsys, monkeypatch):
+    # a render module first imported under the fault binds the corrupted
+    # softplus; left so, every later clean run would fail 3 of 6 entries
+    import trifield
+    import trifield.render
+    from trifield import autodiff as ad
+
+    monkeypatch.delattr(trifield, "render")
+    monkeypatch.delitem(sys.modules, "trifield.render")
+    assert _renderer_failures(capsys, "--inject-fault", "softplus") == SOFTPLUS_FAILS
+    assert sys.modules["trifield.render"].softplus is ad.softplus
+    assert _renderer_failures(capsys) == []
+    assert _renderer_failures(capsys) == []
 
 
 def test_fit_writes_outputs_and_vacuum_collapses(tmp_path):

@@ -234,6 +234,14 @@ def test_orbit_canonical_azimuths():
     cams = sc.camera_orbit(4, 3.0, 0.3)
     azimuths = [np.degrees(np.arctan2(c.position[1], c.position[0])) % 360 for c in cams]
     assert np.allclose(azimuths, [0.0, 90.0, 180.0, 270.0], atol=1e-9)
+    # each orbit camera is, byte for byte, the single-pose camera at its azimuth
+    offset = np.deg2rad(10.0)
+    orbit = sc.camera_orbit(6, 3.5, 0.4, fov=0.9, height=5, width=7, azimuth_offset=offset)
+    for k, cam in enumerate(orbit):
+        ref = sc.orbit_camera(offset + 2.0 * np.pi * k / 6, 0.4, 3.5, fov=0.9, height=5, width=7)
+        assert cam.position.tobytes() == ref.position.tobytes()
+        assert cam.orientation.tobytes() == ref.orientation.tobytes()
+        assert (cam.fov, cam.height, cam.width) == (ref.fov, ref.height, ref.width)
 
 
 def test_opposite_orbit_cameras_antiparallel():

@@ -21,7 +21,7 @@ def test_render_loss_zero_when_equal():
 
 def test_default_weights_follow_the_balance():
     w = tr.LossWeights()
-    assert (w.lambda_mask, w.lambda_depth, w.lambda_perceptual) == (0.5, 1.0, 2.0)
+    assert (w.lambda_mask, w.lambda_depth) == (0.5, 1.0)
 
 
 def test_render_loss_hand_arithmetic():
@@ -54,20 +54,6 @@ def test_render_loss_nonnegative_and_definite():
     gt = view(rng.uniform(size=(3, 3, 3)), rng.uniform(size=(3, 3)), rng.uniform(1, 4, size=(3, 3)))
     pred = view(gt.image + 0.01, gt.mask, gt.depth)
     assert float(tr.render_loss([pred], [gt]).data) > 0.0
-
-
-def test_perceptual_hook_enters_weighted():
-    rng = np.random.default_rng(2)
-    img_gt = rng.uniform(size=(8, 8, 3))
-    pred = view(img_gt + 0.1, np.zeros((8, 8)), np.zeros((8, 8)))
-    gt = view(img_gt, np.zeros((8, 8)), np.zeros((8, 8)))
-    base = float(tr.render_loss([pred], [gt]).data)
-    w = tr.LossWeights(perceptual_hook=tr.pooled_mse_hook)
-    with_hook = float(tr.render_loss([pred], [gt], w).data)
-    hook_val = float(tr.pooled_mse_hook(pred.image, gt.image).data)
-    assert with_hook == pytest.approx(base + 2.0 * hook_val, rel=1e-12)
-    same = view(img_gt, np.zeros((8, 8)), np.zeros((8, 8)))
-    assert float(tr.pooled_mse_hook(same.image, gt.image).data) == 0.0
 
 
 def test_adamw_default_hyperparameters():
