@@ -445,15 +445,6 @@ def _triplane_previews(out_dir, stem, tri):
     write_ppm(os.path.join(out_dir, f"{stem}_rgb.ppm"), side[..., 1:4])
 
 
-def _diffusion_dataset(cfg):
-    from . import scenes as sc
-
-    return sc.make_toy_triplane_dataset(
-        cfg["diffusion.dataset_size"], d=cfg["diffusion.grid_resolution"],
-        c=cfg["diffusion.grid_channels"], seed=cfg["diffusion.dataset_seed"],
-    )
-
-
 def _train_cfgs(cfg, use_oa):
     from . import diffusion as df
 
@@ -475,6 +466,7 @@ def cmd_diffusion(args):
     import numpy as np
 
     from . import diffusion as df
+    from . import scenes as sc
     from .config import ConfigError
 
     cfg = _load_config(args)
@@ -484,9 +476,13 @@ def cmd_diffusion(args):
                 "diffusion.dataset_size"):
         if cfg[key] < 1:
             raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
-    try:  # every model and schedule value is checked before a dataset is built or a file written
+    try:  # every model, schedule and dataset value is checked before a checkpoint is read or a file written
         sched = df.make_schedule(cfg["diffusion.timesteps"], cfg["diffusion.beta_start"], cfg["diffusion.beta_end"])
         train_cfg, model_cfg = _train_cfgs(cfg, cfg["diffusion.use_oa"])
+        dataset = sc.make_toy_triplane_dataset(
+            cfg["diffusion.dataset_size"], d=cfg["diffusion.grid_resolution"],
+            c=cfg["diffusion.grid_channels"], seed=cfg["diffusion.dataset_seed"],
+        )
     except ValueError as exc:
         raise ConfigError(f"diffusion: {exc}") from None
     if args.mode == "sample" and not args.checkpoint:
@@ -506,7 +502,6 @@ def cmd_diffusion(args):
     os.makedirs(out, exist_ok=True)
 
     if args.mode == "train":
-        dataset = _diffusion_dataset(cfg)
         if denoiser is not None and train_cfg.freeze_backbone and not denoiser.cfg.use_adapters:
             denoiser = df.with_adapters(denoiser, seed=cfg["seed"])
         result = df.train_denoiser(dataset, train_cfg, model_cfg=model_cfg, denoiser=denoiser)
@@ -518,7 +513,6 @@ def cmd_diffusion(args):
         return 1 if result.diverged else 0
 
     if args.mode == "sample":
-        dataset = _diffusion_dataset(cfg)
         n = cfg["diffusion.samples"]
         toks = [dataset[i % len(dataset)].tokens for i in range(n)]
         samples = df.ddpm_sample_many(denoiser, toks, sched, rng, chunk=cfg["diffusion.sample_chunk"])
@@ -533,7 +527,6 @@ def cmd_diffusion(args):
         return 0
 
     if args.mode == "ablate":
-        dataset = _diffusion_dataset(cfg)
         n = cfg["diffusion.samples"]
         toks = [dataset[i % len(dataset)].tokens for i in range(n)]
         scores = {}

@@ -8,6 +8,15 @@ the two paths cross-check each other. It integrates a frame in chunks of
 arrays of ~32k points, not the whole frame's points: one 64x64 view at 1024
 samples peaks at ~5 MB of allocations, where a whole-frame pass took ~544 MB.
 Each ray's result does not depend on the chunking.
+
+It also skips empty space exactly: density is evaluated at every sample, but
+color and the quadrature run only for rays that meet a nonzero density. A ray
+with none keeps rgb 0, mask 0 and depth t_far, which is bit for bit what
+oracle_integrate returns for it when its colors are finite and carry no sign
+bit, as every scene's do (make_scene keeps two_blob colors in [0, 1], -0.0
+refused): each weight is exp(-0.0) * (1 - exp(-0.0)) = +0.0, each weighted
+color is +0.0, and depth is 0.0 + 1.0 * t_far. At orbit radius 3 about 11%
+of a cube view's rays and 4% of a sphere view's meet any density.
 """
 
 from __future__ import annotations
@@ -144,6 +153,10 @@ def make_scene(kind, params=None):
         _require_finite(kind, params, ("amplitude", "width", "centers", "colors"))
         if params["amplitude"] <= 0.0 or not (0.0 < params["width"] < 1.0):
             raise ValueError(f"two_blob needs amplitude > 0 and width in (0, 1), got {params}")
+        # signbit also refuses -0.0, which color() would return on a miss ray
+        cols = np.asarray(params["colors"], dtype=np.float64)
+        if np.signbit(cols).any() or (cols > 1.0).any():
+            raise ValueError(f"two_blob colors must be in [0, 1] with no -0.0, got {params['colors']}")
     elif kind == "vacuum":
         pass
     else:
@@ -157,7 +170,10 @@ def oracle_render(scene, cam, n_fine):
     Same quadrature as the differentiable renderer, written independently in
     plain numpy against the analytic fields. Rays go through the fields and
     oracle_integrate ORACLE_CHUNK_POINTS // n_fine at a time; each ray's
-    pixel is the same as from one whole-frame pass.
+    pixel is the same as from one whole-frame pass. Only rays with a nonzero
+    density are colored and integrated; the rest keep (0, 0, t_far), which is
+    oracle_integrate's exact result for them as long as scene.color is finite
+    and never negative or -0.0.
     """
     if n_fine < 512:
         raise ValueError(f"oracle requires n_fine >= 512, got {n_fine}")
@@ -167,16 +183,20 @@ def oracle_render(scene, cam, n_fine):
     chunk = max(1, ORACLE_CHUNK_POINTS // n_fine)
     ts_chunk = sample_points_batch(bundle.t_near, bundle.t_far, min(chunk, r), n_fine)
     pts_chunk = np.empty(ts_chunk.shape + (3,))
-    rgb, mask, depth = np.empty((r, 3)), np.empty(r), np.empty(r)
+    rgb, mask, depth = np.zeros((r, 3)), np.zeros(r), np.full(r, bundle.t_far)
     for lo in range(0, r, chunk):
         hi = min(lo + chunk, r)
         ts, pts = ts_chunk[:hi - lo], pts_chunk[:hi - lo]
         for k in range(3):
             pts[:, :, k] = bundle.origins[lo:hi, k, None] + ts * bundle.directions[lo:hi, k, None]
-        flat = pts.reshape(-1, 3)
-        sig = scene.sigma(flat).reshape(hi - lo, n_fine)
-        col = scene.color(flat).reshape(hi - lo, n_fine, 3)
-        rgb[lo:hi], mask[lo:hi], depth[lo:hi] = oracle_integrate(sig, col, ts, bundle.t_far)
+        sig = scene.sigma(pts.reshape(-1, 3)).reshape(hi - lo, n_fine)
+        hit = np.flatnonzero(sig.any(axis=1))
+        if hit.size == 0:
+            continue
+        sig, ts, pts = sig[hit], ts[hit], pts[hit]
+        col = scene.color(pts.reshape(-1, 3)).reshape(sig.shape + (3,))
+        rows = lo + hit
+        rgb[rows], mask[rows], depth[rows] = oracle_integrate(sig, col, ts, bundle.t_far)
     return RenderOutput(rgb.reshape(h, w, 3), mask.reshape(h, w), depth.reshape(h, w))
 
 
@@ -248,6 +268,8 @@ def make_toy_triplane_dataset(count, d=16, c=4, seed=0):
         raise ValueError(f"count must be >= 1, got {count}")
     if c < 4:
         raise ValueError(f"need at least 4 channels (occupancy + rgb), got {c}")
+    if d < 5:  # a box side is drawn from [3, d - 2] and placed inside [0.5, d - 1.5]
+        raise ValueError(f"need d >= 5 texels per side for a box of side >= 3, got d={d}")
     rng = np.random.default_rng(seed)
     colors = sorted(BOX_PALETTE)
     min_side, max_side = 3.0, d - 2.0

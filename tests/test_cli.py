@@ -350,6 +350,8 @@ def test_diffusion_train_checkpoint_of_other_shape_exits_1(tmp_path, capsys, fie
     ("diffusion.steps = 0", "diffusion.steps must be >= 1"),
     ("diffusion.dataset_seed = -1", "diffusion.dataset_seed must be >= 0"),
     ("diffusion.lr = -1", "diffusion: lr must be > 0, got -1.0"),
+    ("diffusion.grid_channels = 3", "diffusion: need at least 4 channels"),
+    ("diffusion.grid_resolution = 4", "diffusion: need d >= 5 texels per side for a box of side >= 3, got d=4"),
 ])
 def test_bad_diffusion_values_exit_2_before_any_work(tmp_path, capsys, line, says):
     # each ended in a traceback or a nan metric at the parent; ablate reads every one of them
@@ -359,6 +361,34 @@ def test_bad_diffusion_values_exit_2_before_any_work(tmp_path, capsys, line, say
     assert run_cli("diffusion", "ablate", "--config", cfgp, "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and says in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["train", "sample"])
+@pytest.mark.parametrize("field, value, says", [
+    ("channels", 3, "need at least 4 channels"),
+    ("resolution", 4, "need d >= 5 texels per side"),
+    ("resolution", 2, "need d >= 5 texels per side"),
+])
+def test_dataset_too_small_for_a_box_exits_2_before_out(tmp_path, capsys, monkeypatch, mode, field, value, says):
+    # the toy dataset raised a traceback only after --out was made, with a checkpoint of the same shape loaded
+    from trifield import diffusion as df
+
+    sizes = {"resolution": 8, "channels": 4, field: value}
+    ckpt = tmp_path / "same.ckpt"
+    df.save_denoiser(str(ckpt), df.Denoiser(df.DenoiserConfig(**sizes, hidden=8, d_model=8)))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the bad value was rejected")
+
+    for name in ("train_denoiser", "ddpm_sample_many"):
+        monkeypatch.setattr(df, name, no_work)
+    key = f"diffusion.grid_{field}"
+    cfgp = write_config(tmp_path / "d.cfg", [l for l in TINY_DIFFUSION if not l.startswith(key)] + [f"{key} = {value}"])
+    out = tmp_path / "o"
+    assert run_cli("diffusion", mode, "--config", cfgp, "--checkpoint", str(ckpt), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: diffusion: ") and says in err
     assert not out.exists()
 
 

@@ -145,6 +145,50 @@ def test_oracle_memory_stays_chunk_sized():
     assert peak < 32 * 2 ** 20, f"oracle peak {peak / 2 ** 20:.1f} MB"
 
 
+def test_oracle_colors_only_rays_that_meet_density():
+    # at orbit radius 3, 473 of a cube view's 4096 rays meet the cube; the others
+    # cost one sigma call per point and keep oracle_integrate's (0, 0, t_far)
+    scene = sc.make_scene("cube")
+    cam = sc.orbit_camera(0.7, 0.35, 3.0, height=64, width=64)
+    colored, color = [], scene.color
+    scene.color = lambda p: colored.append(len(p)) or color(p)
+    out = sc.oracle_render(scene, cam, 512)
+    rgb, mask, depth = _whole_frame_oracle(sc.make_scene("cube"), cam, 512)
+    hit_rays = np.count_nonzero(mask)  # the first sample with density carries a positive weight
+    assert sum(colored) == hit_rays * 512
+    assert 0.1 < hit_rays / (64 * 64) < 0.13
+    assert _bit_identical(out.image, rgb)
+    assert _bit_identical(out.mask, mask)
+    assert _bit_identical(out.depth, depth)
+
+
+@pytest.mark.parametrize("colors", [
+    (np.array([-1.0, 0.4, 0.1]), np.array([-0.1, 0.5, 1.0])),
+    (np.array([1.0, 0.4, -0.0]), np.array([0.1, 0.5, -0.0])),
+    (np.array([1.5, 0.4, 0.1]), np.array([0.1, 0.5, 1.0])),
+])
+def test_two_blob_rejects_colors_outside_unit_range(colors):
+    # at width 0.02 both Gaussians underflow to 0 on a miss ray, where a channel
+    # negative or -0.0 in both colors makes color() -0.0; the oracle's +0.0 for
+    # skipped rays would then match only because numpy's sums start from +0.0
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        sc.make_scene("two_blob", {"width": 0.02, "colors": colors})
+
+
+def test_oracle_skip_is_exact_where_two_blob_underflows():
+    # zero channels in both colors and mostly exact-zero density: the miss rays
+    # are skipped and must still match oracle_integrate's +0.0 sums
+    scene = sc.make_scene("two_blob", {"width": 0.02, "colors": (
+        np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0]))})
+    cam = sc.orbit_camera(0.7, 0.35, 3.0, height=33, width=47)
+    out = sc.oracle_render(scene, cam, 512)
+    rgb, mask, depth = _whole_frame_oracle(scene, cam, 512)
+    assert 0 < np.count_nonzero(mask) < mask.size
+    assert _bit_identical(out.image, rgb)
+    assert _bit_identical(out.mask, mask)
+    assert _bit_identical(out.depth, depth)
+
+
 def test_two_blob_center_amplitude():
     scene = sc.make_scene("two_blob", {"amplitude": 6.0, "width": 0.15})
     centers = np.stack(scene.params["centers"])
@@ -288,3 +332,9 @@ def test_toy_dataset_validation():
         sc.make_toy_triplane_dataset(0)
     with pytest.raises(ValueError):
         sc.make_toy_triplane_dataset(1, c=2)
+    # a box side is drawn from [3, d - 2]: below d = 5 rng.uniform raised "high - low < 0"
+    for d in (2, 4):
+        with pytest.raises(ValueError, match=f"got d={d}"):
+            sc.make_toy_triplane_dataset(1, d=d)
+    for ex in sc.make_toy_triplane_dataset(20, d=5, seed=1):
+        assert ex.x0.tensor.data.shape == (3, 5, 5, 4)
