@@ -5,6 +5,11 @@ plus an optional backward closure linking it to its parents. Calling
 `backward()` on a scalar output walks the graph in reverse topological
 order and accumulates `.grad` on every `requires_grad` leaf.
 
+A backward consumes its tape: each node drops its closure and parent links
+once the walk has passed it, so activations are freed during the walk and
+nothing of the graph outlives it. Walking a consumed node again, from the
+same root or through a new graph built on it, raises `TapeConsumedError`.
+
 A tensor keeps its parents and closure only if it or a parent requires
 grad, so `requires_grad` alone decides whether a tape exists: a forward pass
 over inputs that need no gradient frees each intermediate as soon as it is
@@ -36,6 +41,10 @@ def _check_same_shape(op, a, b):
         raise ShapeError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
 
 
+class TapeConsumedError(RuntimeError):
+    """backward() reached a node whose tape an earlier backward() walked and freed."""
+
+
 class Tensor:
     """Dense n-d value participating in the gradient tape.
 
@@ -62,27 +71,45 @@ class Tensor:
         self.grad = None
 
     def backward(self):
-        """Reverse-mode pass from a scalar output."""
+        """Reverse-mode pass from a scalar output; it consumes the tape.
+
+        Nodes are popped off the topological order. Once a node's closure has
+        returned its adjoints, the node drops its closure and parent links, so
+        each saved activation is freed once the walk has passed its node and
+        every closure that reads it, and nothing of the graph outlives the
+        call. A walked interior node keeps `_consumed` as its closure: a
+        second backward() from the same root, or through a new graph built on
+        a walked node, raises TapeConsumedError instead of treating the node
+        as a leaf and silently dropping its gradient. Leaves keep their
+        `.grad`, and every node, the root included, keeps its `.data`.
+        """
         if self.data.size != 1:
             raise ValueError(f"backward() requires a scalar output, got shape {self.data.shape}")
         order = topo_order(self)
         grads = {id(self): np.ones_like(self.data)}
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             g = grads.pop(id(node), None)
-            if g is None:
+            if node._backward is None:
+                if g is not None and node.requires_grad:
+                    # leaf: accumulate into .grad
+                    if node.grad is None:
+                        node.grad = np.zeros_like(node.data)
+                    node.grad += g
                 continue
-            if node.requires_grad and node._backward is None:
-                # leaf: accumulate into .grad
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad += g
-            if node._backward is not None:
+            if g is not None:
                 for parent, pg in node._backward(g):
                     key = id(parent)
                     if key in grads:
                         grads[key] = grads[key] + pg
                     else:
                         grads[key] = pg
+            node._backward, node._parents = _consumed, ()
+
+
+def _consumed(g):
+    """The closure of a node whose tape a backward() has already walked."""
+    raise TapeConsumedError("backward() reached a node whose tape an earlier backward() consumed")
 
 
 def as_tensor(x):

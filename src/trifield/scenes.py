@@ -9,9 +9,11 @@ arrays of ~32k points, not the whole frame's points: one 64x64 view at 1024
 samples peaks at ~5 MB of allocations, where a whole-frame pass took ~544 MB.
 Each ray's result does not depend on the chunking.
 
-It also skips empty space exactly: density is evaluated at every sample, but
-color and the quadrature run only for rays that meet a nonzero density. A ray
-with none keeps rgb 0, mask 0 and depth t_far, which is bit for bit what
+It also skips empty space exactly, in two steps. Points are built and density
+is evaluated only on rays whose segment meets the scene's support box (a
+conservative slab test, see AnalyticScene.rays_meeting_support), and color
+and the quadrature run only for those rays that meet a nonzero density. Any
+other ray keeps rgb 0, mask 0 and depth t_far, which is bit for bit what
 oracle_integrate returns for it when its colors are finite and carry no sign
 bit, as every scene's do (make_scene keeps two_blob colors in [0, 1], -0.0
 refused): each weight is exp(-0.0) * (1 - exp(-0.0)) = +0.0, each weighted
@@ -33,6 +35,11 @@ SQRT3 = float(np.sqrt(3.0))
 
 # sample points per oracle chunk: ~256 KB per (rays, n_fine) array
 ORACLE_CHUNK_POINTS = 1 << 15
+
+# relative and absolute enlargement of a scene's support box in the oracle's
+# ray-box test: far above the ~1e-15 rounding of o + t * d and of the slab test
+SUPPORT_REL_MARGIN = 1e-9
+SUPPORT_ABS_MARGIN = 1e-9
 
 # 75 degrees: keeps the whole cube in frame from any orbit radius >= 3
 DEFAULT_FOV = float(np.deg2rad(75.0))
@@ -88,6 +95,34 @@ class AnalyticScene:
         if self.kind == "vacuum":
             return np.zeros(p.shape[:-1])
         raise ValueError(f"unknown scene kind {self.kind!r}")
+
+    def rays_meeting_support(self, origins, directions, t_near, t_far):
+        """Whether each ray's [t_near, t_far] segment meets a box around every nonzero density.
+
+        The box is [-b, b]^3: b is the cube's half extent or the sphere's
+        radius, enlarged by SUPPORT_REL_MARGIN and SUPPORT_ABS_MARGIN, so that
+        rounding can never put a sample with nonzero density on a rejected ray.
+        Vacuum has no support; two_blob's Gaussians reach every ray.
+        """
+        n = len(origins)
+        if self.kind == "vacuum":
+            return np.zeros(n, dtype=bool)
+        if self.kind == "two_blob":
+            return np.ones(n, dtype=bool)
+        if self.kind not in ("cube", "sphere"):
+            raise ValueError(f"unknown scene kind {self.kind!r}")
+        half = self.params["half"] if self.kind == "cube" else self.params["radius"]
+        b = half * (1.0 + SUPPORT_REL_MARGIN) + SUPPORT_ABS_MARGIN
+        enter, leave = np.full(n, float(t_near)), np.full(n, float(t_far))
+        for k in range(3):
+            o, d = origins[:, k], directions[:, k]
+            flat = d == 0.0  # parallel to the slab: inside it along the whole ray, or nowhere
+            step = np.where(flat, 1.0, d)
+            t1, t2 = (-b - o) / step, (b - o) / step
+            lo = np.where(flat, np.where(np.abs(o) <= b, -np.inf, np.inf), np.minimum(t1, t2))
+            hi = np.where(flat, np.inf, np.maximum(t1, t2))
+            enter, leave = np.maximum(enter, lo), np.minimum(leave, hi)
+        return enter <= leave
 
     def color(self, points):
         """Closed-form color at (N, 3) points, in [0, 1]^3."""
@@ -168,34 +203,36 @@ def oracle_render(scene, cam, n_fine):
     """Reference render at n_fine uniform (bin-midpoint) samples per ray.
 
     Same quadrature as the differentiable renderer, written independently in
-    plain numpy against the analytic fields. Rays go through the fields and
-    oracle_integrate ORACLE_CHUNK_POINTS // n_fine at a time; each ray's
-    pixel is the same as from one whole-frame pass. Only rays with a nonzero
-    density are colored and integrated; the rest keep (0, 0, t_far), which is
-    oracle_integrate's exact result for them as long as scene.color is finite
-    and never negative or -0.0.
+    plain numpy against the analytic fields. Only rays that meet the scene's
+    support box go through the fields, ORACLE_CHUNK_POINTS // n_fine at a
+    time; each ray's pixel is the same as from one whole-frame pass. Of
+    those, only rays with a nonzero density are colored and integrated. Every
+    other ray keeps (0, 0, t_far), which is oracle_integrate's exact result
+    for it as long as scene.color is finite and never negative or -0.0.
     """
     if n_fine < 512:
         raise ValueError(f"oracle requires n_fine >= 512, got {n_fine}")
     bundle = generate_rays(cam)
     h, w = bundle.shape
     r = h * w
+    rays = np.flatnonzero(scene.rays_meeting_support(bundle.origins, bundle.directions, bundle.t_near, bundle.t_far))
     chunk = max(1, ORACLE_CHUNK_POINTS // n_fine)
-    ts_chunk = sample_points_batch(bundle.t_near, bundle.t_far, min(chunk, r), n_fine)
+    ts_chunk = sample_points_batch(bundle.t_near, bundle.t_far, min(chunk, len(rays)), n_fine)
     pts_chunk = np.empty(ts_chunk.shape + (3,))
     rgb, mask, depth = np.zeros((r, 3)), np.zeros(r), np.full(r, bundle.t_far)
-    for lo in range(0, r, chunk):
-        hi = min(lo + chunk, r)
-        ts, pts = ts_chunk[:hi - lo], pts_chunk[:hi - lo]
+    for lo in range(0, len(rays), chunk):
+        idx = rays[lo:lo + chunk]
+        ts, pts = ts_chunk[:len(idx)], pts_chunk[:len(idx)]
+        origins, directions = bundle.origins[idx], bundle.directions[idx]
         for k in range(3):
-            pts[:, :, k] = bundle.origins[lo:hi, k, None] + ts * bundle.directions[lo:hi, k, None]
-        sig = scene.sigma(pts.reshape(-1, 3)).reshape(hi - lo, n_fine)
+            pts[:, :, k] = origins[:, k, None] + ts * directions[:, k, None]
+        sig = scene.sigma(pts.reshape(-1, 3)).reshape(len(idx), n_fine)
         hit = np.flatnonzero(sig.any(axis=1))
         if hit.size == 0:
             continue
         sig, ts, pts = sig[hit], ts[hit], pts[hit]
         col = scene.color(pts.reshape(-1, 3)).reshape(sig.shape + (3,))
-        rows = lo + hit
+        rows = idx[hit]
         rgb[rows], mask[rows], depth[rows] = oracle_integrate(sig, col, ts, bundle.t_far)
     return RenderOutput(rgb.reshape(h, w, 3), mask.reshape(h, w), depth.reshape(h, w))
 

@@ -1,4 +1,5 @@
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -121,6 +122,44 @@ def test_one_grad_input_keeps_the_tape():
                 assert node._parents and node._backward is not None, (name, node._op)
         out.backward()
         assert x.grad is not None and x.grad.shape == x.data.shape, name
+
+
+def _graph_with_refs(f, x):
+    """The root of f(x) and weak references to the data of every interior node below it."""
+    out = f(x)
+    refs = [weakref.ref(n.data) for n in ad.topo_order(out) if n is not out and n._backward is not None]
+    return out, refs
+
+
+def test_backward_frees_every_intermediate():
+    # Tensor has __slots__ and no __weakref__, so the references are to the numpy data
+    for name, f, x in ad.primitive_suite(seed=0):
+        out, refs = _graph_with_refs(f, x)
+        assert refs and all(r() is not None for r in refs), name
+        out.backward()
+        assert all(r() is None for r in refs), name
+        assert out._parents == () and x.grad is not None, name
+
+
+def test_second_backward_from_the_same_root_raises():
+    x = Tensor([0.5, -1.0, 2.0], requires_grad=True)
+    out = ad.tsum(ad.mul(ad.exp(x), x))
+    out.backward()
+    first = x.grad.copy()
+    with pytest.raises(ad.TapeConsumedError):
+        out.backward()
+    assert np.array_equal(x.grad, first)  # the root's stub raised before any adjoint reached x
+    assert np.array_equal(out.data, np.sum(np.exp(x.data) * x.data))
+
+
+def test_backward_through_a_walked_intermediate_raises():
+    # without the stub the walked node would look like a leaf, and x's gradient
+    # through it would be dropped without a word
+    x = Tensor([0.5, -1.0, 2.0], requires_grad=True)
+    h = ad.exp(x)
+    ad.tsum(h).backward()
+    with pytest.raises(ad.TapeConsumedError):
+        ad.tsum(ad.mul(h, h)).backward()
 
 
 def test_tape_linearity_of_independent_subgraphs():

@@ -147,19 +147,58 @@ def test_oracle_memory_stays_chunk_sized():
 
 def test_oracle_colors_only_rays_that_meet_density():
     # at orbit radius 3, 473 of a cube view's 4096 rays meet the cube; the others
-    # cost one sigma call per point and keep oracle_integrate's (0, 0, t_far)
+    # keep oracle_integrate's (0, 0, t_far). Density is evaluated on the 475 rays
+    # that meet the slightly enlarged support box, not on all 4096 * 512 points
     scene = sc.make_scene("cube")
     cam = sc.orbit_camera(0.7, 0.35, 3.0, height=64, width=64)
     colored, color = [], scene.color
     scene.color = lambda p: colored.append(len(p)) or color(p)
+    evaluated, sigma = [], scene.sigma
+    scene.sigma = lambda p: evaluated.append(len(p)) or sigma(p)
     out = sc.oracle_render(scene, cam, 512)
     rgb, mask, depth = _whole_frame_oracle(sc.make_scene("cube"), cam, 512)
     hit_rays = np.count_nonzero(mask)  # the first sample with density carries a positive weight
     assert sum(colored) == hit_rays * 512
     assert 0.1 < hit_rays / (64 * 64) < 0.13
+    assert sum(evaluated) == 475 * 512
     assert _bit_identical(out.image, rgb)
     assert _bit_identical(out.mask, mask)
     assert _bit_identical(out.depth, depth)
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("cube", {"half": 0.6}), ("cube", {"half": 0.95}), ("sphere", {"radius": 0.5}), ("sphere", {"radius": 0.9}),
+])
+@pytest.mark.parametrize("radius, elevation", [(1.8, 0.0), (3.0, 0.35), (5.0, -1.2)])
+def test_support_culled_oracle_is_bit_identical_to_whole_frame(kind, params, radius, elevation):
+    # odd sizes put a pixel on the view axis, so a direction coordinate can be
+    # exactly 0; at radius 1.8 the box fills most of the view
+    scene = sc.make_scene(kind, params)
+    for azimuth in (0.0, 0.7, np.pi / 2):
+        cam = sc.orbit_camera(azimuth, elevation, radius, height=33, width=47)
+        out = sc.oracle_render(scene, cam, 512)
+        rgb, mask, depth = _whole_frame_oracle(scene, cam, 512)
+        assert _bit_identical(out.image, rgb)
+        assert _bit_identical(out.mask, mask)
+        assert _bit_identical(out.depth, depth)
+
+
+def test_support_test_keeps_grazing_rays_and_drops_clear_misses():
+    scene = sc.make_scene("cube", {"half": 0.6})
+    origins = np.array([
+        [-3.0, 0.6, 0.0],  # slides along the +y face, where sigma is nonzero
+        [-3.0, 0.6 + 1e-12, 0.0],  # misses by 1e-12, inside the margin
+        [-3.0, 0.6 + 1e-6, 0.0],  # a clear miss
+        [-3.0, 0.0, 0.0],  # through the centre
+    ])
+    directions = np.tile([1.0, 0.0, 0.0], (4, 1))
+    assert scene.rays_meeting_support(origins, directions, 0.1, 6.0).tolist() == [True, True, False, True]
+    # the centre ray reaches the -x face at t = 2.4
+    assert scene.rays_meeting_support(origins[3:], directions[3:], 0.1, 2.4).all()
+    assert not scene.rays_meeting_support(origins[3:], directions[3:], 0.1, 2.39).any()
+    # vacuum has no density, so no ray meets it; two_blob's Gaussians reach every ray
+    assert not sc.make_scene("vacuum").rays_meeting_support(origins, directions, 0.1, 6.0).any()
+    assert sc.make_scene("two_blob").rays_meeting_support(origins, directions, 0.1, 6.0).all()
 
 
 @pytest.mark.parametrize("colors", [
