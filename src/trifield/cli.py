@@ -23,6 +23,17 @@ def _fmt(x):
     return repr(float(x))
 
 
+def _make_out(cfg):
+    """Create --out and return it; a path that cannot be a directory is a config error."""
+    from .config import ConfigError
+
+    try:
+        os.makedirs(cfg["out"], exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out {cfg['out']!r} cannot be a directory: {exc.strerror}") from None
+    return cfg["out"]
+
+
 def _load_checkpoint(load, path):
     """`load(path)`, or None after printing the failing field (the caller exits 1)."""
     from .checkpoint import CheckpointError
@@ -190,7 +201,9 @@ def _rebind(old, new):
 
 def cmd_gradcheck(args):
     from . import autodiff as ad
+    from .config import RunConfig
 
+    RunConfig({"seed": args.seed})  # the seed domain every command shares
     if args.inject_fault:
         original = getattr(ad, args.inject_fault, None)
         code = getattr(original, "__code__", None)
@@ -228,67 +241,41 @@ def cmd_gradcheck(args):
 # fit / render / eval
 # ---------------------------------------------------------------------------
 
-def _scene_from_config(cfg):
-    from . import scenes as sc
+def _section(cls, cfg, prefix, **given):
+    """A `cls` dataclass with each field read from the `prefix.<field>` key, but those `given`."""
+    import dataclasses
 
-    kind = cfg["scene.kind"]
-    params = {}
-    if kind == "sphere":
-        params = {"radius": cfg["scene.radius"], "density": cfg["scene.density"]}
-    elif kind == "cube":
-        params = {"half": cfg["scene.half"], "density": cfg["scene.density"]}
-    elif kind == "two_blob":
-        params = {"amplitude": cfg["scene.amplitude"], "width": cfg["scene.width"]}
-    return sc.make_scene(kind, params)
+    return cls(**{f.name: cfg[f"{prefix}.{f.name}"] for f in dataclasses.fields(cls) if f.name not in given}, **given)
 
 
-def _fit_cfgs(cfg):
-    from . import training as tr
-
-    fit_cfg = tr.FitConfig(
-        iterations=cfg["fit.iterations"], lr_planes=cfg["fit.lr_planes"], lr_heads=cfg["fit.lr_heads"],
-        ray_batch=cfg["fit.ray_batch"], samples_per_ray=cfg["fit.samples_per_ray"],
-        grid_resolution=cfg["fit.grid_resolution"], grid_channels=cfg["fit.grid_channels"],
-        hidden=cfg["fit.hidden"], mlp_depth=cfg["fit.mlp_depth"], n_freqs=cfg["fit.n_freqs"],
-        val_every=cfg["fit.val_every"], val_rays=cfg["fit.val_rays"],
-        stratified=cfg["fit.stratified"], seed=cfg["seed"],
-    )
-    return fit_cfg, tr.LossWeights(cfg["fit.lambda_mask"], cfg["fit.lambda_depth"])
-
-
-def _check_view_values(cfg):
-    """Reject a value that fit, render or eval would fail on mid-run, before any work."""
+def _checked_scene(cfg):
+    """The config's scene, after rejecting values that break a rule tying keys together: a
+    scene's parameters for its kind, or an elevation that puts a camera on the up axis."""
     import numpy as np
 
     from . import scenes as sc
     from .config import ConfigError
 
-    for key, least in (("fit.views", 2), ("fit.image_size", 1), ("render.size", 1), ("render.samples_per_ray", 1),
-                       ("eval.oracle_samples", 512)):
-        if cfg[key] < least:
-            raise ConfigError(f"{key} must be >= {least}, got {cfg[key]}")
-    radius = cfg["fit.orbit_radius"]
+    kind, radius = cfg["scene.kind"], cfg["fit.orbit_radius"]
+    names = {"sphere": ("radius", "density"), "cube": ("half", "density"), "two_blob": ("amplitude", "width")}
     try:
-        _fit_cfgs(cfg)
-        _scene_from_config(cfg)
-        sc.camera_orbit(cfg["fit.views"], radius, np.deg2rad(cfg["fit.elevation_deg"]))
+        scene = sc.make_scene(kind, {name: cfg[f"scene.{name}"] for name in names.get(kind, ())})
+        sc.orbit_camera(0.0, np.deg2rad(cfg["fit.elevation_deg"]), radius)  # every fit view shares it
         for az in cfg["eval.azimuths_deg"] + (cfg["eval.unseen_azimuth_deg"],):
             sc.orbit_camera(np.deg2rad(az), np.deg2rad(cfg["eval.elevation_deg"]), radius)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    return scene
 
 
 def _load_config(args):
-    from .config import ConfigError, RunConfig, parse_config
+    from .config import RunConfig, parse_config
 
     cfg = parse_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
         cfg.set("seed", args.seed)
     if args.out is not None:
         cfg.set("out", args.out)
-    for key in ("seed", "diffusion.dataset_seed"):  # numpy's generators take no negative seed
-        if cfg[key] < 0:
-            raise ConfigError(f"{key} must be >= 0, got {cfg[key]}")
     return cfg
 
 
@@ -320,12 +307,11 @@ def cmd_fit(args):
     from . import training as tr
     from .checkpoint import save_fit_checkpoint
     from .images import write_pgm, write_ppm
-    from .render import render_view
+    from .render import default_bounds, render_view
 
     cfg = _load_config(args)
-    _check_view_values(cfg)
-    os.makedirs(cfg["out"], exist_ok=True)
-    scene = _scene_from_config(cfg)
+    scene = _checked_scene(cfg)
+    out = _make_out(cfg)
     elev = np.deg2rad(cfg["fit.elevation_deg"])
     radius = cfg["fit.orbit_radius"]
     size = cfg["fit.image_size"]
@@ -333,7 +319,7 @@ def cmd_fit(args):
                            azimuth_offset=np.deg2rad(cfg["fit.azimuth_offset_deg"]))
     views = [(cam, sc.oracle_render(scene, cam, cfg["eval.oracle_samples"])) for cam in cams]
 
-    fit_cfg, weights = _fit_cfgs(cfg)
+    fit_cfg, weights = _section(tr.FitConfig, cfg, "fit", seed=cfg["seed"]), _section(tr.LossWeights, cfg, "fit")
     logs = []
     result = tr.fit_scene(views, fit_cfg, weights, log=lambda s, l, v: logs.append((s, l, v)))
 
@@ -351,12 +337,9 @@ def cmd_fit(args):
     pred = render_view(result.triplane, result.heads, cam, cfg["render.samples_per_ray"])
     metrics.append((f"psnr.unseen.{az_u:g}", _fmt(tr.psnr(pred.image, gt.image))))
 
-    out = cfg["out"]
     save_fit_checkpoint(os.path.join(out, "checkpoint.trifield"), result.triplane, result.heads)
     write_ppm(os.path.join(out, "preview_rgb.ppm"), pred.image)
     write_pgm(os.path.join(out, "preview_mask.pgm"), pred.mask)
-    from .render import default_bounds
-
     tn, tf = default_bounds(cam.position)
     write_pgm(os.path.join(out, "preview_depth.pgm"), (pred.depth - tn) / (tf - tn))
     _write_metrics(os.path.join(out, "metrics.txt"), metrics)
@@ -369,11 +352,12 @@ def cmd_render(args):
 
     from . import scenes as sc
     from .checkpoint import load_fit_checkpoint
+    from .config import Real
     from .images import write_pgm, write_ppm
     from .render import default_bounds, render_view
 
     cfg = _load_config(args)
-    _check_view_values(cfg)
+    _checked_scene(cfg)  # render reads no scene, yet refuses the values fit and eval refuse
     size = cfg["render.size"] if args.size is None else args.size
     if size < 1:
         print(f"usage error: --size must be >= 1, got {size}", file=sys.stderr)
@@ -384,10 +368,8 @@ def cmd_render(args):
     views = []  # every token parsed and every camera built before the first view is written
     for token in str(args.azimuth).split(","):
         try:
-            az = float(token)
+            az = Real().parse(token)
         except ValueError:
-            az = float("nan")
-        if not np.isfinite(az):
             print(f"usage error: --azimuth {token.strip()!r} is not a finite number of degrees", file=sys.stderr)
             return 2
         try:
@@ -401,11 +383,9 @@ def cmd_render(args):
     if loaded is None:
         return 1
     tri, heads = loaded
-    n = cfg["render.samples_per_ray"]
-    out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
+    out = _make_out(cfg)
     for token, cam in views:
-        view = render_view(tri, heads, cam, n)
+        view = render_view(tri, heads, cam, cfg["render.samples_per_ray"])
         tag = f"az{token}_el{args.elevation:g}"
         write_ppm(os.path.join(out, f"view_{tag}.ppm"), view.image)
         write_pgm(os.path.join(out, f"view_{tag}_mask.pgm"), view.mask)
@@ -419,14 +399,14 @@ def cmd_eval(args):
     from .checkpoint import load_fit_checkpoint
 
     cfg = _load_config(args)
-    _check_view_values(cfg)
+    scene = _checked_scene(cfg)
     loaded = _load_checkpoint(load_fit_checkpoint, args.checkpoint)
     if loaded is None:
         return 1
     tri, heads = loaded
-    os.makedirs(cfg["out"], exist_ok=True)
-    metrics, mean = _azimuth_psnrs(cfg, _scene_from_config(cfg), tri, heads, cfg["render.size"], "psnr")
-    _write_metrics(os.path.join(cfg["out"], "eval_metrics.txt"), metrics)
+    out = _make_out(cfg)
+    metrics, mean = _azimuth_psnrs(cfg, scene, tri, heads, cfg["render.size"], "psnr")
+    _write_metrics(os.path.join(out, "eval_metrics.txt"), metrics)
     print(f"mean PSNR {mean:.2f} dB over {len(cfg['eval.azimuths_deg'])} views")
     return 0
 
@@ -448,12 +428,7 @@ def _triplane_previews(out_dir, stem, tri):
 def _train_cfgs(cfg, use_oa):
     from . import diffusion as df
 
-    train_cfg = df.DiffusionTrainConfig(
-        steps=cfg["diffusion.steps"], batch=cfg["diffusion.batch"], lr=cfg["diffusion.lr"],
-        timesteps=cfg["diffusion.timesteps"], beta_start=cfg["diffusion.beta_start"],
-        beta_end=cfg["diffusion.beta_end"], freeze_backbone=cfg["diffusion.freeze_backbone"],
-        seed=cfg["seed"],
-    )
+    train_cfg = _section(df.DiffusionTrainConfig, cfg, "diffusion", seed=cfg["seed"])
     model_cfg = df.DenoiserConfig(
         resolution=cfg["diffusion.grid_resolution"], channels=cfg["diffusion.grid_channels"],
         hidden=cfg["diffusion.hidden"], d_k=cfg["diffusion.d_k"], d_model=cfg["diffusion.d_model"],
@@ -470,13 +445,7 @@ def cmd_diffusion(args):
     from .config import ConfigError
 
     cfg = _load_config(args)
-    out = cfg["out"]
-    rng = np.random.default_rng(cfg["seed"])
-    for key in ("diffusion.steps", "diffusion.batch", "diffusion.sample_chunk", "diffusion.samples",
-                "diffusion.dataset_size"):
-        if cfg[key] < 1:
-            raise ConfigError(f"{key} must be >= 1, got {cfg[key]}")
-    try:  # every model, schedule and dataset value is checked before a checkpoint is read or a file written
+    try:  # constructor rules (beta_start <= beta_end) run before a checkpoint is read or a file written
         sched = df.make_schedule(cfg["diffusion.timesteps"], cfg["diffusion.beta_start"], cfg["diffusion.beta_end"])
         train_cfg, model_cfg = _train_cfgs(cfg, cfg["diffusion.use_oa"])
         dataset = sc.make_toy_triplane_dataset(
@@ -499,7 +468,7 @@ def cmd_diffusion(args):
                 print(f"checkpoint error: denoiser {field} {have} does not match diffusion.grid_{field} {want}",
                       file=sys.stderr)
                 return 1
-    os.makedirs(out, exist_ok=True)
+    out = _make_out(cfg)
 
     if args.mode == "train":
         if denoiser is not None and train_cfg.freeze_backbone and not denoiser.cfg.use_adapters:
@@ -512,44 +481,38 @@ def cmd_diffusion(args):
         print(f"final loss {np.mean(result.history[-20:]):.4f}")
         return 1 if result.diverged else 0
 
+    toks = [dataset[i % len(dataset)].tokens for i in range(cfg["diffusion.samples"])]
     if args.mode == "sample":
-        n = cfg["diffusion.samples"]
-        toks = [dataset[i % len(dataset)].tokens for i in range(n)]
-        samples = df.ddpm_sample_many(denoiser, toks, sched, rng, chunk=cfg["diffusion.sample_chunk"])
-        metrics = []
+        samples = df.ddpm_sample_many(denoiser, toks, sched, np.random.default_rng(cfg["seed"]),
+                                      chunk=cfg["diffusion.sample_chunk"])
+        consistency = [df.cross_plane_consistency(tri) for tri in samples]
         for i, tri in enumerate(samples):
             _triplane_previews(out, f"sample_{i:03d}", tri)
-            metrics.append((f"consistency.{i:03d}", _fmt(df.cross_plane_consistency(tri))))
-        mean = np.mean([df.cross_plane_consistency(t) for t in samples])
+        mean = np.mean(consistency)
+        metrics = [(f"consistency.{i:03d}", _fmt(v)) for i, v in enumerate(consistency)]
         metrics.append(("consistency.mean", _fmt(mean)))
         _write_metrics(os.path.join(out, "sample_metrics.txt"), metrics)
         print(f"mean cross-plane consistency {mean:.4f} over {len(samples)} samples")
         return 0
 
-    if args.mode == "ablate":
-        n = cfg["diffusion.samples"]
-        toks = [dataset[i % len(dataset)].tokens for i in range(n)]
-        scores = {}
-        for label, use_oa in (("oa_on", True), ("oa_off", False)):
-            train_cfg, model_cfg = _train_cfgs(cfg, use_oa)
-            result = df.train_denoiser(dataset, train_cfg, model_cfg=model_cfg)
-            samples = df.ddpm_sample_many(result.denoiser, toks, sched,
-                                          np.random.default_rng(cfg["seed"]), chunk=cfg["diffusion.sample_chunk"])
-            scores[label] = float(np.mean([df.cross_plane_consistency(t) for t in samples]))
-        rel = (scores["oa_off"] - scores["oa_on"]) / scores["oa_off"] if scores["oa_off"] else 0.0
-        print(f"{'config':10s} {'consistency':>12s}")
-        print(f"{'oa_on':10s} {scores['oa_on']:12.5f}")
-        print(f"{'oa_off':10s} {scores['oa_off']:12.5f}")
-        print(f"relative improvement: {rel:.1%}")
-        _write_metrics(os.path.join(out, "ablate_metrics.txt"), [
-            ("consistency.oa_on", _fmt(scores["oa_on"])),
-            ("consistency.oa_off", _fmt(scores["oa_off"])),
-            ("relative_improvement", _fmt(rel)),
-        ])
-        return 0
-
-    print(f"unknown diffusion mode {args.mode!r}", file=sys.stderr)
-    return 2
+    scores = {}  # ablate: the same training and chains with OA on and off
+    for label, use_oa in (("oa_on", True), ("oa_off", False)):
+        train_cfg, model_cfg = _train_cfgs(cfg, use_oa)
+        result = df.train_denoiser(dataset, train_cfg, model_cfg=model_cfg)
+        samples = df.ddpm_sample_many(result.denoiser, toks, sched,
+                                      np.random.default_rng(cfg["seed"]), chunk=cfg["diffusion.sample_chunk"])
+        scores[label] = float(np.mean([df.cross_plane_consistency(t) for t in samples]))
+    rel = (scores["oa_off"] - scores["oa_on"]) / scores["oa_off"] if scores["oa_off"] else 0.0
+    print(f"{'config':10s} {'consistency':>12s}")
+    print(f"{'oa_on':10s} {scores['oa_on']:12.5f}")
+    print(f"{'oa_off':10s} {scores['oa_off']:12.5f}")
+    print(f"relative improvement: {rel:.1%}")
+    _write_metrics(os.path.join(out, "ablate_metrics.txt"), [
+        ("consistency.oa_on", _fmt(scores["oa_on"])),
+        ("consistency.oa_off", _fmt(scores["oa_off"])),
+        ("relative_improvement", _fmt(rel)),
+    ])
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -567,30 +530,20 @@ def build_parser():
                    help="corrupt one op's adjoint to validate the harness")
     p.set_defaults(fn=cmd_gradcheck)
 
-    for name, fn, extra in (
-        ("fit", cmd_fit, ()),
-        ("render", cmd_render, ("checkpoint", "azimuth", "elevation", "size")),
-        ("eval", cmd_eval, ("checkpoint",)),
-    ):
+    for name, fn in (("fit", cmd_fit), ("render", cmd_render), ("eval", cmd_eval), ("diffusion", cmd_diffusion)):
         p = sub.add_parser(name)
+        if name == "diffusion":
+            p.add_argument("mode", choices=("train", "sample", "ablate"))
         p.add_argument("--config", default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
-        if "checkpoint" in extra:
-            p.add_argument("--checkpoint", required=True)
-        if "azimuth" in extra:
+        if name != "fit":
+            p.add_argument("--checkpoint", required=name != "diffusion", default=None)
+        if name == "render":
             p.add_argument("--azimuth", required=True, help="degrees; comma-separated list allowed")
             p.add_argument("--elevation", type=float, default=20.0, help="degrees")
             p.add_argument("--size", type=int, default=None)
         p.set_defaults(fn=fn)
-
-    p = sub.add_parser("diffusion")
-    p.add_argument("mode", choices=("train", "sample", "ablate"))
-    p.add_argument("--config", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--checkpoint", default=None)
-    p.set_defaults(fn=cmd_diffusion)
 
     return parser
 

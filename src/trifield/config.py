@@ -1,8 +1,9 @@
 """Line-oriented key=value run configuration with strict unknown-key rejection.
 
-Every key has a documented default below; files may set any subset. Values are
-parsed to the default's type; a tuple default takes a comma-separated list of
-numbers. '#' starts a comment; blank lines are ignored.
+Every key has a default and a domain in SPEC; files may set any subset. Each
+value is parsed by its key's domain and must lie inside it. Rules that tie keys
+together (a scene's parameters for its kind, a camera's elevation, beta_start <=
+beta_end) stay in the constructors that use them. '#' starts a comment.
 """
 
 from __future__ import annotations
@@ -14,113 +15,155 @@ class ConfigError(ValueError):
     pass
 
 
-# key -> default; dotted prefixes group module sections
-DEFAULTS = {
-    "seed": 0,
-    "out": "out",
+class Text:
+    """A non-empty string, or one of `options` when given. Each domain reads a file's text with
+    `parse` (ValueError if it cannot) and names the rule a value breaks with `problem`."""
 
-    "scene.kind": "cube",            # cube | sphere | two_blob | vacuum
-    "scene.radius": 0.5,             # sphere
-    "scene.density": 20.0,           # sphere / cube
-    "scene.half": 0.6,               # cube
-    "scene.amplitude": 6.0,          # two_blob
-    "scene.width": 0.15,             # two_blob
+    parse = staticmethod(str)
 
-    "fit.iterations": 3000,
-    "fit.lr_planes": 5e-3,
-    "fit.lr_heads": 5e-4,
-    "fit.ray_batch": 256,
-    "fit.samples_per_ray": 48,
-    "fit.grid_resolution": 32,
-    "fit.grid_channels": 16,
-    "fit.hidden": 32,
-    "fit.mlp_depth": 2,
-    "fit.n_freqs": 0,
-    "fit.val_every": 100,
-    "fit.val_rays": 512,
-    "fit.stratified": True,
-    "fit.views": 8,
-    "fit.image_size": 64,
-    "fit.orbit_radius": 3.0,
-    "fit.elevation_deg": 20.0,
-    "fit.azimuth_offset_deg": 22.5,
-    "fit.lambda_mask": 0.5,
-    "fit.lambda_depth": 1.0,
+    def __init__(self, *options):
+        self.options = options
 
-    "render.samples_per_ray": 96,
-    "render.size": 64,
+    def problem(self, value):
+        if self.options and value not in self.options:
+            return f"must be one of {', '.join(self.options)}"
+        return "must be non-empty" if value == "" else None
 
-    "eval.azimuths_deg": (0.0, 90.0, 180.0, 270.0),
-    "eval.unseen_azimuth_deg": 137.0,
-    "eval.elevation_deg": 20.0,
-    "eval.oracle_samples": 1024,
 
-    "diffusion.steps": 800,
-    "diffusion.batch": 4,
-    "diffusion.lr": 2e-3,
-    "diffusion.timesteps": 100,
-    "diffusion.beta_start": 1e-4,
-    "diffusion.beta_end": 0.02,
-    "diffusion.grid_resolution": 16,
-    "diffusion.grid_channels": 4,
-    "diffusion.hidden": 16,
-    "diffusion.d_k": 4,
-    "diffusion.d_model": 16,
-    "diffusion.dataset_size": 32,
-    "diffusion.dataset_seed": 11,
-    "diffusion.use_oa": True,
-    "diffusion.freeze_backbone": False,
-    "diffusion.samples": 8,
-    "diffusion.sample_chunk": 8,
+class Flag(Text):
+    expects = "a boolean"
+
+    def parse(self, raw):
+        if raw.lower() not in ("true", "1", "yes", "on", "false", "0", "no", "off"):
+            raise ValueError(raw)
+        return raw.lower() in ("true", "1", "yes", "on")
+
+
+class Reals(Text):
+    expects = "a comma-separated list of finite numbers"
+
+    def parse(self, raw):
+        return tuple(Real().parse(a) for a in raw.split(","))
+
+
+class Int(Text):
+    """An integer >= `least`; only an even one, when `even`."""
+
+    expects = "an integer"
+    parse = staticmethod(int)
+
+    def __init__(self, least, even=False):
+        self.least, self.even = least, even
+
+    def problem(self, value):
+        if value < self.least or (self.even and value % 2):
+            return f"must be {'an even integer ' if self.even else ''}>= {self.least}"
+        return None
+
+
+class Real(Text):
+    """A finite float in (low, high), or in [low, high) when `low_in`."""
+
+    expects = "a finite number"
+
+    def __init__(self, low=-math.inf, high=math.inf, low_in=False):
+        self.low, self.high, self.low_in = low, high, low_in
+
+    def parse(self, raw):
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(raw)
+        return value
+
+    def problem(self, value):
+        if (value >= self.low if self.low_in else value > self.low) and value < self.high:
+            return None
+        if self.high == math.inf:
+            return f"must be {'>=' if self.low_in else '>'} {self.low:g}"
+        return f"must be in {'[' if self.low_in else '('}{self.low:g}, {self.high:g})"
+
+
+# key -> (default, domain); dotted prefixes group module sections
+SPEC = {
+    "seed": (0, Int(0)),             # numpy's generators take no negative seed
+    "out": ("out", Text()),
+
+    "scene.kind": ("cube", Text("cube", "sphere", "two_blob", "vacuum")),
+    "scene.radius": (0.5, Real()),             # sphere
+    "scene.density": (20.0, Real()),           # sphere / cube
+    "scene.half": (0.6, Real()),               # cube
+    "scene.amplitude": (6.0, Real()),          # two_blob
+    "scene.width": (0.15, Real()),             # two_blob
+
+    "fit.iterations": (3000, Int(1)),
+    "fit.lr_planes": (5e-3, Real(0.0)),
+    "fit.lr_heads": (5e-4, Real(0.0)),
+    "fit.ray_batch": (256, Int(1)),
+    "fit.samples_per_ray": (48, Int(1)),
+    "fit.grid_resolution": (32, Int(1)),
+    "fit.grid_channels": (16, Int(1)),
+    "fit.hidden": (32, Int(1)),
+    "fit.mlp_depth": (2, Int(1)),
+    "fit.n_freqs": (0, Int(0)),
+    "fit.val_every": (100, Int(1)),
+    "fit.val_rays": (512, Int(1)),
+    "fit.stratified": (True, Flag()),
+    "fit.views": (8, Int(2)),
+    "fit.image_size": (64, Int(1)),
+    # the camera must sit outside the world cube; far out, the r +- sqrt(3) sample
+    # bins lose float64 resolution (at 1e16 they collapse and integration fails)
+    "fit.orbit_radius": (3.0, Real(math.sqrt(3.0), 1e6)),
+    "fit.elevation_deg": (20.0, Real()),
+    "fit.azimuth_offset_deg": (22.5, Real()),
+    "fit.lambda_mask": (0.5, Real(0.0, low_in=True)),
+    "fit.lambda_depth": (1.0, Real(0.0, low_in=True)),
+
+    "render.samples_per_ray": (96, Int(1)),
+    "render.size": (64, Int(1)),
+
+    "eval.azimuths_deg": ((0.0, 90.0, 180.0, 270.0), Reals()),
+    "eval.unseen_azimuth_deg": (137.0, Real()),
+    "eval.elevation_deg": (20.0, Real()),
+    "eval.oracle_samples": (1024, Int(512)),
+
+    "diffusion.steps": (800, Int(1)),
+    "diffusion.batch": (4, Int(1)),
+    "diffusion.lr": (2e-3, Real(0.0)),
+    "diffusion.timesteps": (100, Int(1)),
+    "diffusion.beta_start": (1e-4, Real(0.0, 1.0)),
+    "diffusion.beta_end": (0.02, Real(0.0, 1.0)),
+    # the toy dataset draws box sides from [3, d - 2]; the denoiser halves d once
+    "diffusion.grid_resolution": (16, Int(6, even=True)),
+    "diffusion.grid_channels": (4, Int(4)),    # occupancy + rgb
+    "diffusion.hidden": (16, Int(2, even=True)),  # split into sin/cos timestep features
+    "diffusion.d_k": (4, Int(1)),
+    "diffusion.d_model": (16, Int(1)),
+    "diffusion.dataset_size": (32, Int(1)),
+    "diffusion.dataset_seed": (11, Int(0)),
+    "diffusion.use_oa": (True, Flag()),
+    "diffusion.freeze_backbone": (False, Flag()),
+    "diffusion.samples": (8, Int(1)),
+    "diffusion.sample_chunk": (8, Int(1)),
 }
-
-
-def _finite(raw):
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"{raw!r} is not finite")
-    return value
-
-
-def _parse_value(raw, default, key, line_no):
-    raw = raw.strip()
-    if isinstance(default, bool):
-        if raw.lower() in ("true", "1", "yes", "on"):
-            return True
-        if raw.lower() in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"line {line_no}: key {key!r} expects a boolean, got {raw!r}")
-    if isinstance(default, int):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"line {line_no}: key {key!r} expects an integer, got {raw!r}") from None
-    if isinstance(default, float):
-        try:
-            return _finite(raw)
-        except ValueError:
-            raise ConfigError(f"line {line_no}: key {key!r} expects a finite number, got {raw!r}") from None
-    if isinstance(default, tuple):
-        try:
-            return tuple(_finite(a) for a in raw.split(","))
-        except ValueError:
-            raise ConfigError(
-                f"line {line_no}: key {key!r} expects a comma-separated list of finite numbers, got {raw!r}"
-            ) from None
-    return raw
+DEFAULTS = {key: default for key, (default, _) in SPEC.items()}
 
 
 class RunConfig:
     def __init__(self, values=None):
         self.values = dict(DEFAULTS)
-        self.values.update(values or {})
+        for key, value in (values or {}).items():
+            self.set(key, value)
 
     def __getitem__(self, key):
         return self.values[key]
 
     def set(self, key, value):
-        if key not in DEFAULTS:
+        """Set `key`, or raise ConfigError if it is unknown or `value` lies outside its domain."""
+        if key not in SPEC:
             raise ConfigError(f"unknown config key {key!r}")
+        problem = SPEC[key][1].problem(value)
+        if problem:
+            raise ConfigError(f"{key} {problem}, got {value!r}")
         self.values[key] = value
 
 
@@ -133,9 +176,12 @@ def parse_config(path):
                 continue
             if "=" not in body:
                 raise ConfigError(f"line {line_no}: expected 'key = value', got {body!r}")
-            key, raw = body.split("=", 1)
-            key = key.strip()
-            if key not in DEFAULTS:
+            key, raw = (part.strip() for part in body.split("=", 1))
+            if key not in SPEC:
                 raise ConfigError(f"line {line_no}: unknown key {key!r}")
-            values[key] = _parse_value(raw, DEFAULTS[key], key, line_no)
+            domain = SPEC[key][1]
+            try:
+                values[key] = domain.parse(raw)
+            except ValueError:
+                raise ConfigError(f"line {line_no}: key {key!r} expects {domain.expects}, got {raw!r}") from None
     return RunConfig(values)

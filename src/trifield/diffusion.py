@@ -275,6 +275,9 @@ class DiffusionTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("steps", "batch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not self.lr > 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
 
@@ -298,8 +301,6 @@ def train_denoiser(dataset, cfg, model_cfg=None, denoiser=None):
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
-    if cfg.batch < 1:
-        raise ValueError(f"train_denoiser: batch must be >= 1, got {cfg.batch}")
     rng = np.random.default_rng(cfg.seed)
     sched = make_schedule(cfg.timesteps, cfg.beta_start, cfg.beta_end)
     if denoiser is None:

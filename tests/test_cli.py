@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 
@@ -5,8 +6,9 @@ import numpy as np
 import pytest
 
 from trifield import cli
-from trifield.config import ConfigError, DEFAULTS, RunConfig, parse_config
+from trifield.config import DEFAULTS, SPEC, ConfigError, Int, Real, RunConfig, parse_config
 from trifield.images import read_pgm, read_ppm
+from trifield.scenes import make_toy_triplane_dataset
 
 
 def run_cli(*argv):
@@ -58,6 +60,7 @@ def test_every_config_key_has_documented_default():
     cfg = RunConfig()
     for key in DEFAULTS:
         assert cfg[key] is not None
+        assert SPEC[key][1].problem(cfg[key]) is None, key
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -341,65 +344,146 @@ def test_diffusion_train_checkpoint_of_other_shape_exits_1(tmp_path, capsys, fie
     assert not out.exists() or not os.listdir(out)
 
 
+class Reached(Exception):
+    """A work function was called: every check before it had passed."""
+
+
+@pytest.fixture
+def run_before_work(tmp_path, monkeypatch, capsys):
+    """A runner of one command in a fresh directory, with every work function patched to raise Reached.
+
+    run(command, lines, flags, out) -> (exit code or Reached, stderr, names created in the directory).
+    `lines` replace the same keys of the command's tiny config; `out` None passes no --out flag.
+    """
+    import tempfile
+
+    from trifield import checkpoint as ck
+    from trifield import diffusion as df
+    from trifield import render as rd
+    from trifield import scenes as sc
+    from trifield import training as tr
+    from trifield import triplane as tp
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    for owner, name in ((tr, "fit_scene"), (sc, "oracle_render"), (rd, "render_view"),
+                        (sc, "make_toy_triplane_dataset"), (df, "train_denoiser"), (df, "ddpm_sample_many")):
+        monkeypatch.setattr(owner, name, reached)
+    rng = np.random.default_rng(0)
+    ckpt = str(tmp_path / "fit.ckpt")
+    ck.save_fit_checkpoint(ckpt, tp.random_triplane(rng, 4, 2), rd.init_field_heads(rng, 6, hidden=4))
+    argv = {"fit": ["fit"], "render": ["render", "--checkpoint", ckpt, "--azimuth", "0"],
+            "eval": ["eval", "--checkpoint", ckpt], "train": ["diffusion", "train"], "ablate": ["diffusion", "ablate"]}
+
+    def run(command, lines=(), flags=(), out="o"):
+        here = tempfile.mkdtemp(dir=tmp_path)
+        keys = {line.split(" = ")[0] for line in lines}
+        base = TINY_DIFFUSION if command in ("train", "ablate") else TINY_FIT
+        cfgp = write_config(here + ".cfg", [l for l in base if l.split(" = ")[0] not in keys] + list(lines))
+        monkeypatch.chdir(here)
+        try:
+            code = run_cli(*argv[command], "--config", cfgp, *(["--out", out] if out is not None else []), *flags)
+        except Reached:
+            code = Reached
+        return code, capsys.readouterr().err, os.listdir(here)
+
+    return run
+
+
+def _text(value):
+    """`value` as a config file writes it."""
+    if isinstance(value, tuple):
+        return ",".join(map(repr, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _first_outside(domain):
+    """The value just past each finite bound of a numeric domain; the empty text for any other."""
+    if isinstance(domain, Int):
+        return [domain.least - 1]
+    if isinstance(domain, Real):
+        low = math.nextafter(domain.low, -math.inf) if domain.low_in else domain.low
+        return [v for v in (low, domain.high) if math.isfinite(v)]
+    return [""]
+
+
+def _inside(domain, raw):
+    """Whether `raw` reads as a value within the domain's stated bounds."""
+    try:
+        value = domain.parse(raw)
+    except ValueError:
+        return False
+    if isinstance(domain, Int):
+        return value >= domain.least and not (domain.even and value % 2)
+    if isinstance(domain, Real):
+        return (value >= domain.low if domain.low_in else value > domain.low) and value < domain.high
+    return domain.problem(value) is None
+
+
+# each of these sizes an allocation made before any work: make_schedule holds one float per timestep,
+# and fit builds every orbit camera before its first oracle view
+LARGE = {"diffusion.timesteps": 10**4, "fit.views": 10**4}
+# cases the hand-written lists checked beyond the generic ones
+EXTRA = {"fit.orbit_radius": [1.0], "scene.radius": [1.5], "eval.oracle_samples": [100],
+         "diffusion.grid_resolution": [2, 4]}
+# a scene parameter is read only by its kind
+SCENE_KIND = {"scene.radius": "sphere", "scene.density": "sphere", "scene.half": "cube",
+              "scene.amplitude": "two_blob", "scene.width": "two_blob"}
+
+
+@pytest.mark.parametrize("key", list(SPEC))
+def test_every_key_outside_its_domain_exits_2_before_any_work(run_before_work, key):
+    # each case exits 2 having created nothing, or reaches work with a value inside the key's domain
+    default, domain = SPEC[key]
+    section = key.split(".")[0]
+    commands = {"diffusion": ("train", "ablate"), "seed": ("fit", "render", "eval", "train", "ablate"),
+                "out": ("fit", "render", "eval", "train", "ablate")}.get(section, ("fit", "render", "eval"))
+    context = [f"scene.kind = {SCENE_KIND[key]}"] if key in SCENE_KIND else []
+    out = None if key == "out" else "o"
+    for command in commands:  # the harness reaches work at all
+        assert run_before_work(command, context + [f"{key} = {_text(default)}"], out=out)[0] is Reached, command
+    large = LARGE.get(key, 10**20 if isinstance(domain, Int) else 1e300)
+    for value in [0, -1, "nan", large, *_first_outside(domain), *EXTRA.get(key, [])]:
+        raw = _text(value)
+        inside = _inside(domain, raw)
+        for command in commands:
+            code, err, made = run_before_work(command, context + [f"{key} = {raw}"], out=out)
+            case = (command, raw, err)
+            if code is Reached:
+                assert inside, case
+            else:
+                assert code == 2 and not made and err.startswith("config error: "), case
+                assert inside or key in err, case
+
+
 @pytest.mark.parametrize("line, says", [
     ("diffusion.sample_chunk = 0", "diffusion.sample_chunk must be >= 1"),
     ("diffusion.batch = 0", "diffusion.batch must be >= 1"),
-    ("diffusion.grid_resolution = 5", "resolution must be even"),
+    ("diffusion.grid_resolution = 5", "resolution must be an even integer >= 6, got 5"),
     ("diffusion.samples = 0", "diffusion.samples must be >= 1"),
     ("diffusion.dataset_size = 0", "diffusion.dataset_size must be >= 1"),
     ("diffusion.steps = 0", "diffusion.steps must be >= 1"),
     ("diffusion.dataset_seed = -1", "diffusion.dataset_seed must be >= 0"),
-    ("diffusion.lr = -1", "diffusion: lr must be > 0, got -1.0"),
-    ("diffusion.grid_channels = 3", "diffusion: need at least 4 channels"),
-    ("diffusion.grid_resolution = 4", "diffusion: need d >= 5 texels per side for a box of side >= 3, got d=4"),
+    ("diffusion.lr = -1", "diffusion.lr must be > 0, got -1.0"),
+    ("diffusion.grid_channels = 3", "diffusion.grid_channels must be >= 4, got 3"),
+    ("diffusion.grid_resolution = 4", "diffusion.grid_resolution must be an even integer >= 6, got 4"),
 ])
-def test_bad_diffusion_values_exit_2_before_any_work(tmp_path, capsys, line, says):
-    # each ended in a traceback or a nan metric at the parent; ablate reads every one of them
-    key = line.split(" = ")[0]
-    cfgp = write_config(tmp_path / "d.cfg", [l for l in TINY_DIFFUSION if not l.startswith(key)] + [line])
-    out = tmp_path / "o"
-    assert run_cli("diffusion", "ablate", "--config", cfgp, "--out", str(out)) == 2
-    err = capsys.readouterr().err
+def test_bad_diffusion_values_exit_2_before_any_work(run_before_work, line, says):
+    # the wording of errors that ended in a traceback or a nan metric once; the sweep above owns the domains
+    code, err, made = run_before_work("ablate", [line])
+    assert code == 2 and not made
     assert err.startswith("config error: ") and says in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("mode", ["train", "sample"])
-@pytest.mark.parametrize("field, value, says", [
-    ("channels", 3, "need at least 4 channels"),
-    ("resolution", 4, "need d >= 5 texels per side"),
-    ("resolution", 2, "need d >= 5 texels per side"),
-])
-def test_dataset_too_small_for_a_box_exits_2_before_out(tmp_path, capsys, monkeypatch, mode, field, value, says):
-    # the toy dataset raised a traceback only after --out was made, with a checkpoint of the same shape loaded
-    from trifield import diffusion as df
-
-    sizes = {"resolution": 8, "channels": 4, field: value}
-    ckpt = tmp_path / "same.ckpt"
-    df.save_denoiser(str(ckpt), df.Denoiser(df.DenoiserConfig(**sizes, hidden=8, d_model=8)))
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the bad value was rejected")
-
-    for name in ("train_denoiser", "ddpm_sample_many"):
-        monkeypatch.setattr(df, name, no_work)
-    key = f"diffusion.grid_{field}"
-    cfgp = write_config(tmp_path / "d.cfg", [l for l in TINY_DIFFUSION if not l.startswith(key)] + [f"{key} = {value}"])
-    out = tmp_path / "o"
-    assert run_cli("diffusion", mode, "--config", cfgp, "--checkpoint", str(ckpt), "--out", str(out)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: diffusion: ") and says in err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, lines, flags, says", [
     ("fit", ["fit.views = 1"], [], "config error: fit.views must be >= 2"),
     ("fit", ["scene.kind = sphere", "scene.radius = 1.5"], [], "config error: sphere radius must be in (0, 1)"),
-    ("fit", ["fit.orbit_radius = 1.0"], [], "config error: orbit radius must exceed sqrt(3)"),
-    ("fit", ["fit.val_every = 0"], [], "config error: val_every must be >= 1"),
-    ("fit", ["fit.hidden = 0"], [], "config error: hidden must be >= 1"),
-    ("fit", ["fit.n_freqs = -1"], [], "config error: n_freqs must be >= 0"),
-    ("fit", ["fit.lambda_depth = -1.0"], [], "config error: loss weights must be non-negative"),
+    ("fit", ["fit.orbit_radius = 1.0"], [], "config error: fit.orbit_radius must be in (1.73205, 1e+06)"),
+    ("fit", ["fit.val_every = 0"], [], "config error: fit.val_every must be >= 1"),
+    ("fit", ["fit.hidden = 0"], [], "config error: fit.hidden must be >= 1"),
+    ("fit", ["fit.n_freqs = -1"], [], "config error: fit.n_freqs must be >= 0"),
+    ("fit", ["fit.lambda_depth = -1.0"], [], "config error: fit.lambda_depth must be >= 0"),
     ("eval", ["fit.orbit_radius = nan"], [], "config error: line 18: key 'fit.orbit_radius' expects a finite"),
     ("render", ["render.samples_per_ray = 0"], [], "config error: render.samples_per_ray must be >= 1"),
     ("eval", ["eval.oracle_samples = 100"], [], "config error: eval.oracle_samples must be >= 512"),
@@ -408,35 +492,45 @@ def test_dataset_too_small_for_a_box_exits_2_before_out(tmp_path, capsys, monkey
     ("render", [], ["--size", "-4"], "usage error: --size must be >= 1, got -4"),
     ("render", [], ["--size", "0"], "usage error: --size must be >= 1, got 0"),
     ("fit", [], ["--seed", "-1"], "config error: seed must be >= 0, got -1"),
-    ("fit", ["fit.iterations = 0"], [], "config error: iterations must be >= 1, got 0"),
-    ("fit", ["fit.lr_planes = -1"], [], "config error: lr_planes must be > 0, got -1.0"),
-    ("fit", ["fit.lr_heads = 0"], [], "config error: lr_heads must be > 0, got 0.0"),
+    ("fit", ["fit.iterations = 0"], [], "config error: fit.iterations must be >= 1, got 0"),
+    ("fit", ["fit.lr_planes = -1"], [], "config error: fit.lr_planes must be > 0, got -1.0"),
+    ("fit", ["fit.lr_heads = 0"], [], "config error: fit.lr_heads must be > 0, got 0.0"),
 ])
-def test_bad_fit_render_eval_values_exit_2_before_any_work(tmp_path, capsys, monkeypatch, command, lines, flags,
-                                                          says):
-    # each ended in a traceback at the parent (fit.views = 1 only after the oracle views were rendered,
-    # fit.val_every = 0 after the first step), and --size 0 rendered silently at render.size
-    from trifield import checkpoint as ck
-    from trifield import render as rd
+def test_bad_fit_render_eval_values_exit_2_before_any_work(run_before_work, command, lines, flags, says):
+    # the wording of errors for config values and flags that once ended in a traceback (fit.views = 1 only
+    # after the oracle views were rendered, fit.val_every = 0 after the first step), or for --size 0, which
+    # rendered silently at render.size; the sweep above owns the config domains
+    code, err, made = run_before_work(command, lines, flags)
+    assert code == 2 and not made
+    assert err.startswith(says)
+
+
+def test_far_orbit_exits_2_before_any_work(run_before_work):
+    # at 1e16 the r +- sqrt(3) sample bins collapsed in float64, and integrate_rays raised after --out was made
+    code, err, made = run_before_work("fit", ["fit.orbit_radius = 1e16"])
+    assert code == 2 and not made
+    assert err == "config error: fit.orbit_radius must be in (1.73205, 1e+06), got 1e+16\n"
+
+
+@pytest.mark.parametrize("command", ["fit", "render", "eval", "train", "ablate"])
+def test_unusable_out_exits_2(run_before_work, tmp_path, monkeypatch, command):
+    # both ended in a traceback from os.makedirs after every other check had passed
     from trifield import scenes as sc
-    from trifield import training as tr
-    from trifield import triplane as tp
 
-    rng = np.random.default_rng(0)
-    ckpt = str(tmp_path / "fit.ckpt")
-    ck.save_fit_checkpoint(ckpt, tp.random_triplane(rng, 4, 2), rd.init_field_heads(rng, 6, hidden=4))
+    monkeypatch.setattr(sc, "make_toy_triplane_dataset", make_toy_triplane_dataset)  # diffusion builds it first
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    for out, says in (("", "config error: out must be non-empty, got ''"),
+                      (str(taken), f"config error: out {str(taken)!r} cannot be a directory: ")):
+        code, err, made = run_before_work(command, out=out)
+        assert code == 2 and not made and err.startswith(says), (out, err)
+    assert taken.read_text() == "a file\n"
 
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the bad value was rejected")
 
-    for owner, name in ((sc, "oracle_render"), (rd, "render_view"), (tr, "fit_scene")):
-        monkeypatch.setattr(owner, name, no_work)
-    cfgp = write_config(tmp_path / "fit.cfg", TINY_FIT + lines)
-    out = tmp_path / "o"
-    argv = {"fit": [], "render": ["--checkpoint", ckpt, "--azimuth", "0"], "eval": ["--checkpoint", ckpt]}[command]
-    assert run_cli(command, "--config", cfgp, "--out", str(out), *argv, *flags) == 2
-    assert capsys.readouterr().err.startswith(says)
-    assert not out.exists()
+def test_gradcheck_negative_seed_exits_2(capsys):
+    # numpy's generator refused it with a traceback
+    assert run_cli("gradcheck", "--scope", "numerics", "--seed", "-1") == 2
+    assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("op", ["grad_check", "DTYPE", "affine", "no_such_name"])

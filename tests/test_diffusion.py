@@ -287,9 +287,15 @@ class BayesDenoiser:
         self.sched, self.mu, self.s2 = sched, mu, s * s
         self.cfg = df.DenoiserConfig(resolution=d, channels=c, timesteps=sched.timesteps)
 
+    def _eps(self, x, t):
+        ab = self.sched.alpha_bar(t)
+        return np.sqrt(1.0 - ab) * (x - np.sqrt(ab) * self.mu) / (ab * self.s2 + 1.0 - ab)
+
     def _forward_stacked(self, x, ts, token_matrix, b):
-        ab = self.sched.alpha_bar(ts[0])
-        return Tensor(np.sqrt(1.0 - ab) * (x.data - np.sqrt(ab) * self.mu) / (ab * self.s2 + 1.0 - ab))
+        return Tensor(self._eps(x.data, ts[0]))
+
+    def forward(self, x_t, t, tokens):
+        return Triplane(self._eps(x_t.tensor.data, t))
 
 
 @pytest.mark.parametrize("timesteps", [1, 2, 10, 100])
@@ -315,6 +321,28 @@ def test_whole_chain_matches_closed_form_moments(timesteps):
     # entries are independent Gaussians: bound each moment by 4 standard errors
     assert abs(x.mean() - mean) < 4.0 * np.sqrt(var / n), (x.mean(), mean)
     assert abs(x.var(ddof=1) - var) < 4.0 * var * np.sqrt(2.0 / (n - 1)), (x.var(ddof=1), var)
+
+
+@pytest.mark.parametrize("t", [1, 10, 50, 100])
+def test_epsilon_loss_meets_its_closed_form_floor(t):
+    # for x0 ~ N(mu, s^2 I) the Bayes-optimal predictor leaves eps_hat - eps ~ N(0, v) per entry, with
+    # v = Var(eps | x_t) = ab_t s^2 / (ab_t s^2 + 1 - ab_t); (1 - ab_t) s^2 / (ab_t s^2 + 1 - ab_t) is
+    # Var(x0 | x_t), the floor of an x0 objective, which ab_t / (1 - ab_t) scales to v
+    mu, s, draws = 0.3, 0.5, 64
+    sched = df.make_schedule(100)
+    den = BayesDenoiser(sched, mu, s)
+    rng = np.random.default_rng(23)
+    losses = []
+    for _ in range(draws):
+        x0 = Triplane(mu + s * rng.standard_normal((3, 8, 8, 4)))
+        eps = df.noise_like(x0, rng)
+        losses.append(df.epsilon_loss(den, x0, np.zeros(3, dtype=np.int64), t, eps, sched).data)
+    ab = sched.alpha_bar(t)
+    floor = ab * s * s / (ab * s * s + 1.0 - ab)
+    n = draws * 3 * 8 * 8 * 4
+    per_entry = np.mean(losses) / 3.0  # the loss sums three per-plane means
+    # a squared N(0, v) entry has variance 2 v^2: bound the mean by 4 standard errors
+    assert abs(per_entry - floor) < 4.0 * floor * np.sqrt(2.0 / n), (per_entry, floor)
 
 
 def test_training_holds_one_tape_at_a_time():
