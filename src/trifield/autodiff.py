@@ -527,42 +527,74 @@ def mlp(x, layers):
     return Tensor(h, _parents=parents, _backward=bwd, _op="mlp")
 
 
-def patches3x3(x, d):
-    """Clamp-to-edge 3x3 neighbourhoods of stacked d x d grids, as one tape node.
+def _conv_columns(x, d):
+    """Clamp-to-edge 3x3 im2col columns of the (G*d*d, C) rows of G stacked row-major d x d grids.
 
-    Maps the (G*d*d, C) rows of G row-major grids to their (G*d*d, 9*C) im2col
-    columns: the taps (v + dv, u + du), clamped into the grid, for dv and then
-    du in (-1, 0, 1). The backward adds the 9 tap adjoints onto the padded grid
-    and folds the pad rows and columns back onto the edge they copy.
+    Returns an owned (G*d*d, 9*C) array: the taps (v + dv, u + du), clamped
+    into the grid, for dv and then du in (-1, 0, 1), each C wide.
     """
-    x = as_tensor(x)
-    if x.data.ndim != 2 or d < 1 or x.data.shape[0] % (d * d):
-        raise ShapeError(f"patches3x3: need (G*{d}*{d}, C) rows of whole {d}x{d} grids, got {x.data.shape}")
-    n, c = x.data.shape
-    grids = x.data.reshape(-1, d, d, c)
+    n, c = x.shape
+    grids = x.reshape(-1, d, d, c)
     padded = np.empty((len(grids), d + 2, d + 2, c))  # edge pad by slices: np.pad added ~1 ms per sampling pass
     padded[:, 1:-1, 1:-1] = grids
     padded[:, 0, 1:-1], padded[:, -1, 1:-1] = grids[:, 0], grids[:, -1]
     padded[:, :, 0], padded[:, :, -1] = padded[:, :, 1], padded[:, :, -2]
     # the 3 taps of one dv are 3*c contiguous values of a padded grid row
     rows = padded.reshape(-1, d + 2, (d + 2) * c)
-    out_data = np.empty((n, 9 * c))  # the one copy, owned at every d (a reshape would return a view at d = 1)
-    out_data.reshape(-1, d, d, 3, 3 * c)[...] = np.lib.stride_tricks.sliding_window_view(
+    cols = np.empty((n, 9 * c))  # the one copy, owned at every d (a reshape would return a view at d = 1)
+    cols.reshape(-1, d, d, 3, 3 * c)[...] = np.lib.stride_tricks.sliding_window_view(
         rows, (3, 3 * c), axis=(1, 2))[:, :, ::c]
+    return cols
+
+
+def _conv_fold(g, d):
+    """Adjoint of `_conv_columns`: (G*d*d, 9*C) column adjoints -> (G*d*d, C) row adjoints.
+
+    Adds the 9 tap adjoints onto the padded grid and folds the pad rows and
+    columns back onto the edge they copy.
+    """
+    n, c = g.shape[0], g.shape[1] // 9
+    taps = g.reshape(-1, d, d, 3, 3, c)
+    full = np.zeros((len(taps), d + 2, d + 2, c))
+    for dv in range(3):
+        for du in range(3):
+            full[:, dv:dv + d, du:du + d] += taps[:, :, :, dv, du]
+    full[:, 1] += full[:, 0]
+    full[:, d] += full[:, d + 1]
+    full[:, :, 1] += full[:, :, 0]
+    full[:, :, d] += full[:, :, d + 1]
+    return full[:, 1:d + 1, 1:d + 1].reshape(n, c)
+
+
+def conv3x3(x, d, w, b):
+    """Clamp-to-edge 3x3 conv of stacked d x d grids, as one tape node whose parents are x, w and b.
+
+    x holds the (G*d*d, C) rows of G row-major d x d grids, w is (9*C, F) in
+    the tap order of `_conv_columns` and b is (F,). The same arithmetic as
+    `affine(columns, w, b)`, but the node keeps its input, not its columns:
+    the backward rebuilds the columns from x for the weight adjoint, and only
+    when w requires grad.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.data.ndim != 2 or d < 1 or x.data.shape[0] % (d * d):
+        raise ShapeError(f"conv3x3: need (G*{d}*{d}, C) rows of whole {d}x{d} grids, got {x.data.shape}")
+    c = x.data.shape[1]
+    if w.data.ndim != 2 or w.data.shape[0] != 9 * c or b.data.shape != (w.data.shape[1],):
+        raise ShapeError(f"conv3x3: need a ({9 * c}, F) weight and an (F,) bias, got {w.data.shape} and {b.data.shape}")
+    out_data = _conv_columns(x.data, d) @ w.data
+    out_data += b.data
 
     def bwd(g):
-        taps = g.reshape(-1, d, d, 3, 3, c)
-        full = np.zeros((len(grids), d + 2, d + 2, c))
-        for dv in range(3):
-            for du in range(3):
-                full[:, dv:dv + d, du:du + d] += taps[:, :, :, dv, du]
-        full[:, 1] += full[:, 0]
-        full[:, d] += full[:, d + 1]
-        full[:, :, 1] += full[:, :, 0]
-        full[:, :, d] += full[:, :, d + 1]
-        return ((x, full[:, 1:d + 1, 1:d + 1].reshape(n, c)),)
+        grads = []
+        if b.requires_grad:
+            grads.append((b, g.sum(axis=0)))
+        if w.requires_grad:
+            grads.append((w, _conv_columns(x.data, d).T @ g))
+        if x.requires_grad:
+            grads.append((x, _conv_fold(g @ w.data.T, d)))
+        return tuple(grads)
 
-    return Tensor(out_data, _parents=(x,), _backward=bwd, _op="patches3x3")
+    return Tensor(out_data, _parents=(x, w, b), _backward=bwd, _op="conv3x3")
 
 
 # ---------------------------------------------------------------------------
@@ -661,6 +693,11 @@ def primitive_suite(seed=0):
     k_mlp = [(c(4, 5), c(5)), (c(5, 2), c(2))]
     k_mlp_out = c(3, 2)
     suite.append(("mlp", lambda t: tsum(mul(mlp(t, k_mlp), k_mlp_out)), _rng_inputs(rng, (3, 4))))
-    k_patch = c(18, 18)  # two 3x3 grids of 2 channels: every tap, edge and corner
-    suite.append(("patches3x3", lambda t: tsum(mul(patches3x3(t, 3), k_patch)), _rng_inputs(rng, (18, 2))))
+    k_conv = c(18, 2)
+
+    def conv(t):  # t stacks x (two 3x3 grids of 2 channels: every tap, edge and corner), w and b
+        x, w, b = narrow(t, 0, 0, 18), narrow(t, 0, 18, 18), reshape(narrow(t, 0, 36, 1), (2,))
+        return tsum(mul(conv3x3(x, 3, w, b), k_conv))
+
+    suite.append(("conv3x3", conv, _rng_inputs(rng, (37, 2))))
     return suite

@@ -47,17 +47,18 @@ class Reals(Text):
 
 
 class Int(Text):
-    """An integer >= `least`; only an even one, when `even`."""
+    """An integer >= `least`, and <= `most` when given; only an even one, when `even`."""
 
     expects = "an integer"
     parse = staticmethod(int)
 
-    def __init__(self, least, even=False):
-        self.least, self.even = least, even
+    def __init__(self, least, most=None, even=False):
+        self.least, self.most, self.even = least, most, even
 
     def problem(self, value):
-        if value < self.least or (self.even and value % 2):
-            return f"must be {'an even integer ' if self.even else ''}>= {self.least}"
+        if value < self.least or (self.most is not None and value > self.most) or (self.even and value % 2):
+            span = f">= {self.least}" if self.most is None else f"in [{self.least}, {self.most}]"
+            return f"must be {'an even integer ' if self.even else ''}{span}"
         return None
 
 
@@ -129,7 +130,8 @@ SPEC = {
     "diffusion.steps": (800, Int(1)),
     "diffusion.batch": (4, Int(1)),
     "diffusion.lr": (2e-3, Real(0.0)),
-    "diffusion.timesteps": (100, Int(1)),
+    # the schedule holds a few floats per timestep and is built before any work
+    "diffusion.timesteps": (100, Int(1, 100_000)),
     "diffusion.beta_start": (1e-4, Real(0.0, 1.0)),
     "diffusion.beta_end": (0.02, Real(0.0, 1.0)),
     # the toy dataset draws box sides from [3, d - 2]; the denoiser halves d once

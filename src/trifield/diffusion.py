@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, add, affine, broadcast_to, concat, gather, mul, patches3x3, relu, reshape, tmean, transpose
+from .autodiff import Tensor, add, affine, broadcast_to, concat, conv3x3, gather, mul, relu, reshape, tmean, transpose
 from .attention import VOCABULARY, AttentionParams, cross_attention, stacked_orthogonal_attention
 from .checkpoint import CheckpointError, Reader, write_block, write_named_arrays
 from .training import AdamW
@@ -176,7 +176,7 @@ class Denoiser:
 
     # forward pieces ---------------------------------------------------
     def _conv_named(self, x, name, d):
-        return affine(patches3x3(x, d), self.params[f"{name}.w"], self.params[f"{name}.b"])
+        return conv3x3(x, d, self.params[f"{name}.w"], self.params[f"{name}.b"])
 
     def _resblock(self, x, name, temb, d):
         h = self._conv_named(relu(x), f"{name}.c1", d)

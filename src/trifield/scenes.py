@@ -169,7 +169,7 @@ def make_scene(kind, params=None):
         if not (0.0 < params["radius"] < 1.0):
             raise ValueError(f"sphere radius must be in (0, 1), got {params['radius']}")
         if params["density"] <= 0.0:
-            raise ValueError(f"density must be > 0, got {params['density']}")
+            raise ValueError(f"{kind} density must be > 0, got {params['density']}")
     elif kind == "cube":
         params.setdefault("half", 0.6)
         params.setdefault("density", 20.0)
@@ -177,7 +177,7 @@ def make_scene(kind, params=None):
         if not (0.0 < params["half"] < 1.0):
             raise ValueError(f"cube half extent must be in (0, 1), got {params['half']}")
         if params["density"] <= 0.0:
-            raise ValueError(f"density must be > 0, got {params['density']}")
+            raise ValueError(f"{kind} density must be > 0, got {params['density']}")
     elif kind == "two_blob":
         params.setdefault("amplitude", 6.0)
         params.setdefault("width", 0.15)
@@ -187,7 +187,8 @@ def make_scene(kind, params=None):
             params["colors"] = (np.array([1.0, 0.4, 0.1]), np.array([0.1, 0.5, 1.0]))
         _require_finite(kind, params, ("amplitude", "width", "centers", "colors"))
         if params["amplitude"] <= 0.0 or not (0.0 < params["width"] < 1.0):
-            raise ValueError(f"two_blob needs amplitude > 0 and width in (0, 1), got {params}")
+            raise ValueError(f"two_blob needs amplitude > 0 and width in (0, 1), "
+                             f"got amplitude {params['amplitude']}, width {params['width']}")
         # signbit also refuses -0.0, which color() would return on a miss ray
         cols = np.asarray(params["colors"], dtype=np.float64)
         if np.signbit(cols).any() or (cols > 1.0).any():

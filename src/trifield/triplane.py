@@ -154,15 +154,14 @@ def triplane_lookup(planes, pts):
         base, fu, fv = _bilinear_corners(p_data, d)
         grads = []
         if planes.requires_grad:
+            # one scatter index, the lower corner's: a corner `off` rows on
+            # lands its bins off*c entries further into the table
             lower = ((base * c)[:, :, None] + np.arange(c)).ravel()
-            flat = np.empty_like(lower)
             wg = np.empty_like(g)
-            total = None
+            total = np.zeros(3 * d * d * c)
             for off, w in zip(offsets, _corner_weights(fu, fv)):
-                np.add(lower, off * c, out=flat)
                 np.multiply(g, w[:, :, None], out=wg)
-                part = np.bincount(flat, weights=wg.ravel(), minlength=3 * d * d * c)
-                total = part if total is None else total + part
+                total[off * c:] += np.bincount(lower, weights=wg.ravel(), minlength=total.size - off * c)
             grads.append((planes, total.reshape(3, d, d, c)))
         if pts.requires_grad:
             # adjoint of each corner weight, then through w = (1-fu)(1-fv), fu(1-fv), ...

@@ -269,6 +269,38 @@ def test_mlp_node_is_bit_identical_to_the_composed_chain(depth):
             assert got is None or np.array_equal(got, want), (mask, k)
 
 
+def _conv_run(use_node, x, d, w, b, probe, grad_mask):
+    """Forward and gradients of sum(conv(x) * probe); grad_mask flags x, w and b."""
+    xt, wt, bt = (Tensor(a, requires_grad=flag) for a, flag in zip((x, w, b), grad_mask))
+    if use_node:
+        out = ad.conv3x3(xt, d, wt, bt)
+    else:  # the composed chain: an im2col node's columns, then affine
+        cols = Tensor(ad._conv_columns(x, d), requires_grad=xt.requires_grad)
+        out = ad.affine(cols, wt, bt)
+    if out.requires_grad:
+        ad.tsum(ad.mul(out, Tensor(probe))).backward()
+    grads = [xt.grad, wt.grad, bt.grad]
+    if not use_node and cols.grad is not None:
+        grads[0] = ad._conv_fold(cols.grad, d)
+    return out.data, grads
+
+
+@pytest.mark.parametrize("d, g", [(1, 3), (2, 3), (4, 6)])
+def test_conv3x3_node_is_bit_identical_to_columns_then_affine(d, g):
+    rng = np.random.default_rng(40 + d)
+    c, f = 3, 5
+    x, w, b = rng.normal(size=(g * d * d, c)), rng.normal(size=(9 * c, f)), rng.normal(size=f)
+    probe = rng.normal(size=(g * d * d, f))
+    masks = [(True,) * 3, (False,) * 3] + [tuple(j == k for j in range(3)) for k in range(3)]
+    for mask in masks:
+        got_out, got_grads = _conv_run(True, x, d, w, b, probe, mask)
+        want_out, want_grads = _conv_run(False, x, d, w, b, probe, mask)
+        assert np.array_equal(got_out, want_out), mask
+        for k, (got, want) in enumerate(zip(got_grads, want_grads)):
+            assert (got is None) == (want is None), (mask, k)
+            assert got is None or np.array_equal(got, want), (mask, k)
+
+
 def _operands(arg):
     """The tensor (or scalar) operands of a primitive call, in argument order."""
     if isinstance(arg, (list, tuple)):
@@ -318,7 +350,7 @@ def test_closures_return_adjoints_only_for_parents_that_require_grad(monkeypatch
         f(x)
     monkeypatch.undo()
     assert {fn.__name__ for fn, _, _ in calls} == {"add", "sub", "mul", "matmul", "concat", "add_rowvec",
-                                                     "layer_norm", "mlp"}
+                                                     "layer_norm", "mlp", "conv3x3"}
     x, layers, _ = _mlp_case(np.random.default_rng(30), 3)
     calls.append((ad.mlp, (Tensor(x), [(Tensor(w), Tensor(b)) for w, b in layers]), {}))
 

@@ -101,21 +101,21 @@ def test_mlp_is_a_traced_primitive(tracing):
     for node in nodes:
         assert node._backward.__code__ in bwd_codes
 
-    # diffusion.self_bwd_ms books the conv backward only if each conv's
-    # columns come from a primitive the tracer recognises
+    # diffusion.self_bwd_ms books the conv backward only if each conv's one
+    # tape node comes from a primitive the tracer recognises
     from trifield import diffusion as df
 
-    assert "patches3x3" in prims
-    patch_codes = [code for code in ad.patches3x3.__code__.co_consts if getattr(code, "co_name", None) == "bwd"]
+    assert "conv3x3" in prims
+    conv_codes = [code for code in ad.conv3x3.__code__.co_consts if getattr(code, "co_name", None) == "bwd"]
     den = df.Denoiser(df.DenoiserConfig(resolution=4, hidden=4, d_model=4))
     for t in den.parameters():
         t.requires_grad = True
     x = ad.Tensor(np.zeros((3 * 16, 4)), requires_grad=True)  # the stem conv keeps a closure too
     out = den._forward_stacked(x, [1], np.zeros((1, 3), dtype=np.int64), 1)
-    convs = [node for node in ad.topo_order(out) if node._op == "patches3x3"]
+    convs = [node for node in ad.topo_order(out) if node._op == "conv3x3"]
     assert len(convs) == 13  # stem, 3 resblocks and 2 adapters of 2 convs each, up, head
     for node in convs:
-        assert node._backward.__code__ in patch_codes
+        assert node._backward.__code__ in conv_codes
 
 
 def test_planes_are_the_tensor_in_plane_order(tmp_path):

@@ -168,8 +168,8 @@ def test_gradcheck_fault_injection_fails_and_names_op(capsys):
 
 
 def test_gradcheck_fault_injection_in_the_mlp_node_fails(capsys):
-    # numerics.mlp_head composes matmul, add_rowvec and relu; no other entry builds 3x3 patches
-    for op in ("mlp", "patches3x3"):
+    # numerics.mlp_head composes matmul, add_rowvec and relu; no other entry runs a 3x3 conv
+    for op in ("mlp", "conv3x3"):
         assert run_cli("gradcheck", "--scope", "numerics", "--inject-fault", op) == 1
         failed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if line.endswith("FAIL")]
         assert failed == [f"numerics.{op}"]
@@ -401,7 +401,7 @@ def _text(value):
 def _first_outside(domain):
     """The value just past each finite bound of a numeric domain; the empty text for any other."""
     if isinstance(domain, Int):
-        return [domain.least - 1]
+        return [domain.least - 1] + ([] if domain.most is None else [domain.most + 1])
     if isinstance(domain, Real):
         low = math.nextafter(domain.low, -math.inf) if domain.low_in else domain.low
         return [v for v in (low, domain.high) if math.isfinite(v)]
@@ -415,15 +415,15 @@ def _inside(domain, raw):
     except ValueError:
         return False
     if isinstance(domain, Int):
-        return value >= domain.least and not (domain.even and value % 2)
+        below_most = domain.most is None or value <= domain.most
+        return value >= domain.least and below_most and not (domain.even and value % 2)
     if isinstance(domain, Real):
         return (value >= domain.low if domain.low_in else value > domain.low) and value < domain.high
     return domain.problem(value) is None
 
 
-# each of these sizes an allocation made before any work: make_schedule holds one float per timestep,
-# and fit builds every orbit camera before its first oracle view
-LARGE = {"diffusion.timesteps": 10**4, "fit.views": 10**4}
+# this sizes an allocation made before any work: fit builds every orbit camera before its first oracle view
+LARGE = {"fit.views": 10**4}
 # cases the hand-written lists checked beyond the generic ones
 EXTRA = {"fit.orbit_radius": [1.0], "scene.radius": [1.5], "eval.oracle_samples": [100],
          "diffusion.grid_resolution": [2, 4]}

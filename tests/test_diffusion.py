@@ -522,7 +522,7 @@ def test_flipped_resolution_checkpoint_fails_fast(tmp_path):
     (3 * 4 * 4, 4, 1, 2),
 ])
 def test_forward_stacked_rejects_mismatched_inputs_at_entry(rows, channels, n_ts, n_tok):
-    # the resolution-8 case passed patches3x3 at the parent and ended in a numpy reshape error
+    # the resolution-8 case passed the conv's whole-grid check and ended in a numpy reshape error
     den = small_model(d=4)
     tokens = np.stack([small_dataset(1)[0].tokens] * n_tok)
     with pytest.raises(ad.ShapeError, match="_forward_stacked"):
@@ -565,33 +565,57 @@ def _upsample_reference(x, g, half):
 def test_spatial_ops_match_nested_loop_references(d, g):
     # d = 1 is the half-resolution level of a resolution-2 denoiser
     rng = np.random.default_rng(100 * d + g)
-    c = 3
+    c, f = 3, 5
     x = rng.normal(size=(g * d * d, c))
     rows = _conv_rows_reference(g, d)
-    assert np.array_equal(ad.patches3x3(Tensor(x), d).data, x[rows].reshape(g * d * d, 9 * c))
+    cols = x[rows].reshape(g * d * d, 9 * c)
+    assert np.array_equal(ad._conv_columns(x, d), cols)
+    w, b = rng.normal(size=(9 * c, f)), rng.normal(size=f)
+    assert np.array_equal(ad.conv3x3(Tensor(x), d, Tensor(w), Tensor(b)).data, cols @ w + b)
     fine = rng.normal(size=(g * 4 * d * d, c))
     assert np.array_equal(df._pool(Tensor(fine), d).data, _pool_reference(fine, g, d))
     assert np.array_equal(df._upsample(Tensor(x), d).data, _upsample_reference(x, g, d))
 
     probe = rng.normal(size=(g * d * d, 9 * c))
-    xt = Tensor(x, requires_grad=True)
-    ad.tsum(ad.mul(ad.patches3x3(xt, d), Tensor(probe))).backward()
     xg = Tensor(x, requires_grad=True)
     ad.tsum(ad.mul(ad.gather(xg, rows), Tensor(probe.reshape(-1, c)))).backward()
-    assert np.abs(xt.grad - xg.grad).max() <= 1e-12 * max(1.0, np.abs(xg.grad).max())
+    assert np.abs(ad._conv_fold(probe, d) - xg.grad).max() <= 1e-12 * max(1.0, np.abs(xg.grad).max())
 
 
-def test_patches3x3_rejects_rows_that_are_not_whole_grids():
+def test_conv3x3_rejects_rows_that_are_not_whole_grids():
     for shape, d in (((5, 2), 2), ((8,), 2), ((4, 2), 0)):
-        with pytest.raises(ad.ShapeError, match="patches3x3"):
-            ad.patches3x3(Tensor(np.zeros(shape)), d)
+        with pytest.raises(ad.ShapeError, match="conv3x3"):
+            ad.conv3x3(Tensor(np.zeros(shape)), d, Tensor(np.zeros((18, 3))), Tensor(np.zeros(3)))
+    for w, b in (((17, 3), (3,)), ((18,), (3,)), ((18, 3), (2,))):  # weight rows are 9 taps of 2 channels
+        with pytest.raises(ad.ShapeError, match="conv3x3"):
+            ad.conv3x3(Tensor(np.zeros((8, 2))), 2, Tensor(np.zeros(w)), Tensor(np.zeros(b)))
 
 
 @pytest.mark.parametrize("d", [1, 2, 4])
-def test_patches3x3_returns_an_owned_writeable_array(d):
-    # at d = 1 the parent returned a read-only view of its private padded buffer
-    out = ad.patches3x3(Tensor(np.ones((3 * d * d, 2))), d).data
+def test_conv_columns_are_an_owned_writeable_array(d):
+    # at d = 1 a reshape of the window view would be a read-only view of the private padded buffer
+    out = ad._conv_columns(np.ones((3 * d * d, 2)), d)
     assert out.flags.writeable and out.flags.owndata and out.flags.c_contiguous
+
+
+def test_a_training_forward_keeps_no_conv_columns():
+    # each conv kept its (rows, 9*C) im2col columns on the tape, half the tape of a training step;
+    # a conv node now keeps its input and rebuilds the columns in its backward
+    den = small_model(d=4, seed=12)
+    for t in den.parameters():
+        t.requires_grad = True
+    rng = np.random.default_rng(22)
+    b, d, c, f = 2, 4, den.cfg.channels, den.cfg.hidden
+    tokens = np.stack([ex.tokens for ex in small_dataset(2)])
+    out = den._forward_stacked(Tensor(rng.normal(size=(b * 3 * d * d, c))), [3, 17], tokens, b)
+    widths = {9 * c, 9 * f, 18 * f}  # the stem's, most convs' and the up conv's columns
+    held = []
+    for node in ad.topo_order(out):
+        held.append(node.data)
+        cells = node._backward.__closure__ if node._backward is not None else None
+        held += [cell.cell_contents for cell in cells or () if isinstance(cell.cell_contents, np.ndarray)]
+    assert [a.shape for a in held if a.ndim == 2 and a.shape[1] in widths] == []
+    assert sum(node._op == "conv3x3" for node in ad.topo_order(out)) == 13
 
 
 def test_whole_denoiser_pass_grad_checks():

@@ -19,6 +19,19 @@ def test_scene_parameter_validation():
         sc.make_scene("nonsense")
 
 
+@pytest.mark.parametrize("kind, params, says", [
+    ("sphere", {"density": 0.0}, "sphere density must be > 0, got 0.0"),
+    ("cube", {"density": -2.0}, "cube density must be > 0, got -2.0"),
+    ("two_blob", {"amplitude": 0.0}, "two_blob needs amplitude > 0 and width in (0, 1), got amplitude 0.0, width 0.15"),
+    ("two_blob", {"width": 1.0}, "two_blob needs amplitude > 0 and width in (0, 1), got amplitude 6.0, width 1.0"),
+])
+def test_scene_parameter_errors_name_the_kind_and_only_the_bad_parameters(kind, params, says):
+    # the two-blob error printed the whole parameter dict, center and color arrays included
+    with pytest.raises(ValueError) as err:
+        sc.make_scene(kind, params)
+    assert str(err.value) == says
+
+
 @pytest.mark.parametrize("kind, params", [
     ("cube", {"density": np.nan}),
     ("cube", {"density": np.inf}),
