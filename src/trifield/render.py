@@ -11,6 +11,10 @@ algebraically identical to the product form and keeps gradients smooth.
 
 from __future__ import annotations
 
+import ctypes
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +26,21 @@ from .triplane import sample_triplane
 SQRT3 = float(np.sqrt(3.0))
 
 # rays per render_view chunk: a chunk's head activations (chunk * n rows,
-# 12,288 at 96 samples) stay near the size of a core's 2 MB L2 cache. A pixel
-# does not depend on the chunk, except that BLAS may pick another matmul
-# kernel for a chunk of few rows (a ~1e-16 drift).
+# 12,288 at 96 samples) stay near the size of a core's 2 MB L2 cache, and
+# each worker thread runs on its own core, so the budget is per worker core.
+# A pixel does not depend on the chunk, except that BLAS may pick another
+# matmul kernel for a chunk of few rows (a ~1e-16 drift).
 RENDER_CHUNK = 128
+
+# (setter, getter) names of the thread count in the OpenBLAS builds numpy ships
+# or links, tried in order
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+# held while render_view pins BLAS, so that two concurrent frames cannot
+# restore each other's pinned count of 1
+_BLAS_PIN = threading.Lock()
 
 
 @dataclass
@@ -161,8 +176,9 @@ def field_eval_batch(tri, heads, points):
     """(sigma (N,), color (N, 3)) Tensors at a batch of world points; each head is one `mlp` node."""
     pts = ad.as_tensor(points)
     n = pts.data.shape[0]
-    feat = sample_triplane(tri, pts)
-    x = concat([encode_positions(pts, heads.n_freqs), feat], axis=1)
+    # no local name keeps the (N, 3C) lookup, so without grad it is freed
+    # once the concat has copied it, before the heads run
+    x = concat([encode_positions(pts, heads.n_freqs), sample_triplane(tri, pts)], axis=1)
     sigma = reshape(softplus(mlp(x, heads.s_layers)), (n,))
     color = sigmoid(mlp(x, heads.c_layers))
     return sigma, color
@@ -218,15 +234,65 @@ class RenderOutput:
     depth: object
 
 
+def _find_openblas():
+    """(set, get) thread-count functions of the OpenBLAS that numpy loaded, or None if none is found."""
+    try:
+        with open("/proc/self/maps") as f:
+            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+            set_fn, get_fn = getattr(handle, set_name, None), getattr(handle, get_name, None)
+            if set_fn is not None and get_fn is not None:
+                set_fn.argtypes, set_fn.restype = [ctypes.c_int], None
+                get_fn.argtypes, get_fn.restype = [], ctypes.c_int
+                return set_fn, get_fn
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin OpenBLAS to one thread for the block and yield its worker count.
+
+    The workers are the usable CPUs. With no OpenBLAS found BLAS cannot be
+    pinned, and its own threads would compete with the workers, so the block
+    gets one worker. The caller's thread count is restored on every exit.
+    """
+    blas = _find_openblas()
+    if blas is None:
+        yield 1
+        return
+    set_threads, get_threads = blas
+    with _BLAS_PIN:
+        before = get_threads()
+        set_threads(1)
+        try:
+            yield len(os.sched_getaffinity(0))
+        finally:
+            set_threads(before)
+
+
 def render_view(tri, heads, cam, n):
-    """Deterministic full-frame render, n bin-midpoint samples per ray, RENDER_CHUNK rays at a time."""
+    """Deterministic full-frame render, n bin-midpoint samples per ray, RENDER_CHUNK rays at a time.
+
+    The chunks run on a thread pool that lives for this call, one worker per
+    usable CPU, with BLAS pinned to one thread while it runs. Each chunk is
+    one render_rays call that writes only its own rows of the frame, so the
+    frame does not depend on the worker count.
+    """
     bundle = generate_rays(cam)
     h, w = bundle.shape
     total = h * w
     img = np.empty((total, 3))
     msk = np.empty(total)
     dep = np.empty(total)
-    for lo in range(0, total, RENDER_CHUNK):
+
+    def chunk(lo):
         hi = min(lo + RENDER_CHUNK, total)
         rgb, mask, depth = render_rays(
             tri, heads, bundle.origins[lo:hi], bundle.directions[lo:hi], bundle.t_near, bundle.t_far, n,
@@ -234,4 +300,16 @@ def render_view(tri, heads, cam, n):
         img[lo:hi] = rgb.data
         msk[lo:hi] = mask.data
         dep[lo:hi] = depth.data
+
+    # imported here, not at the top: it pulls in logging and queue, and a
+    # process that never renders (training, sampling) need not load them
+    from concurrent.futures import ThreadPoolExecutor
+
+    with _one_blas_thread() as workers:
+        pool = ThreadPoolExecutor(workers)
+        try:
+            for _ in pool.map(chunk, range(0, total, RENDER_CHUNK)):
+                pass
+        finally:
+            pool.shutdown(cancel_futures=True)
     return RenderOutput(img.reshape(h, w, 3), msk.reshape(h, w), dep.reshape(h, w))

@@ -10,9 +10,10 @@ samples peaks at ~5 MB of allocations, where a whole-frame pass took ~544 MB.
 Each ray's result does not depend on the chunking.
 
 It also skips empty space exactly, in two steps. Points are built and density
-is evaluated only on rays whose segment meets the scene's support box (a
-conservative slab test, see AnalyticScene.rays_meeting_support), and color
-and the quadrature run only for those rays that meet a nonzero density. Any
+is evaluated only on rays whose segment meets the scene's support (a
+conservative slab test for the cube, a closest-point test for the sphere, see
+AnalyticScene.rays_meeting_support), and color and the quadrature run only
+for those rays that meet a nonzero density. Any
 other ray keeps rgb 0, mask 0 and depth t_far, which is bit for bit what
 oracle_integrate returns for it when its colors are finite and carry no sign
 bit, as every scene's do (make_scene keeps two_blob colors in [0, 1], -0.0
@@ -36,8 +37,9 @@ SQRT3 = float(np.sqrt(3.0))
 # sample points per oracle chunk: ~256 KB per (rays, n_fine) array
 ORACLE_CHUNK_POINTS = 1 << 15
 
-# relative and absolute enlargement of a scene's support box in the oracle's
-# ray-box test: far above the ~1e-15 rounding of o + t * d and of the slab test
+# relative and absolute enlargement of a scene's support in the oracle's ray
+# test: far above the ~1e-15 rounding of o + t * d and of the slab and
+# closest-point tests
 SUPPORT_REL_MARGIN = 1e-9
 SUPPORT_ABS_MARGIN = 1e-9
 
@@ -97,12 +99,13 @@ class AnalyticScene:
         raise ValueError(f"unknown scene kind {self.kind!r}")
 
     def rays_meeting_support(self, origins, directions, t_near, t_far):
-        """Whether each ray's [t_near, t_far] segment meets a box around every nonzero density.
+        """Whether each ray's [t_near, t_far] segment meets a region around every nonzero density.
 
-        The box is [-b, b]^3: b is the cube's half extent or the sphere's
-        radius, enlarged by SUPPORT_REL_MARGIN and SUPPORT_ABS_MARGIN, so that
-        rounding can never put a sample with nonzero density on a rejected ray.
-        Vacuum has no support; two_blob's Gaussians reach every ray.
+        The region is the cube [-b, b]^3 for the cube, with b its half extent,
+        and the ball of radius b for the sphere, with b its radius; b is
+        enlarged by SUPPORT_REL_MARGIN and SUPPORT_ABS_MARGIN, so that rounding
+        can never put a sample with nonzero density on a rejected ray. Vacuum
+        has no support; two_blob's Gaussians reach every ray.
         """
         n = len(origins)
         if self.kind == "vacuum":
@@ -113,6 +116,10 @@ class AnalyticScene:
             raise ValueError(f"unknown scene kind {self.kind!r}")
         half = self.params["half"] if self.kind == "cube" else self.params["radius"]
         b = half * (1.0 + SUPPORT_REL_MARGIN) + SUPPORT_ABS_MARGIN
+        if self.kind == "sphere":
+            # the segment's point closest to the centre
+            t = np.clip(-(origins * directions).sum(axis=1) / (directions * directions).sum(axis=1), t_near, t_far)
+            return np.linalg.norm(origins + t[:, None] * directions, axis=1) <= b
         enter, leave = np.full(n, float(t_near)), np.full(n, float(t_far))
         for k in range(3):
             o, d = origins[:, k], directions[:, k]
@@ -205,7 +212,7 @@ def oracle_render(scene, cam, n_fine):
 
     Same quadrature as the differentiable renderer, written independently in
     plain numpy against the analytic fields. Only rays that meet the scene's
-    support box go through the fields, ORACLE_CHUNK_POINTS // n_fine at a
+    support go through the fields, ORACLE_CHUNK_POINTS // n_fine at a
     time; each ray's pixel is the same as from one whole-frame pass. Of
     those, only rays with a nonzero density are colored and integrated. Every
     other ray keeps (0, 0, t_far), which is oracle_integrate's exact result

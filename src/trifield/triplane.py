@@ -14,6 +14,8 @@ only conversions. The lookup's tape parents are the tensor and the points.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .autodiff import ShapeError, Tensor, as_tensor, concat, narrow, reshape
@@ -22,8 +24,10 @@ PLANE_IDS = ("xy", "xz", "yz")
 # world-axis index pair (u axis, v axis) of each plane
 PLANE_AXES = {"xy": (0, 1), "xz": (0, 2), "yz": (1, 2)}
 
-# out-of-cube points are clamped, never rejected; callers can watch this counter
+# out-of-cube points are clamped, never rejected; callers can watch this
+# counter. render_view samples from worker threads, so updates take the lock
 _clamp_count = 0
+_clamp_lock = threading.Lock()
 
 
 def clamp_count():
@@ -197,7 +201,8 @@ def sample_triplane(tri, points):
         raise ValueError("points contain non-finite values")
     n_out = int(np.count_nonzero((pts.data < -1.0) | (pts.data > 1.0)))
     if n_out:
-        _clamp_count += n_out
+        with _clamp_lock:
+            _clamp_count += n_out
     return triplane_lookup(tri.tensor, pts)
 
 

@@ -9,6 +9,7 @@ installing the tracer, so a refactor that breaks the benchmark fails here.
 import importlib.util
 import inspect
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -70,6 +71,34 @@ def test_one_oracle_render_call_per_view(monkeypatch):
     out = sc.oracle_render(sc.make_scene("cube"), cam, 512)
     assert len(calls) == 1
     assert out.image.shape == (33, 47, 3)
+
+
+def test_tracer_reaches_render_view_chunks_on_worker_threads(tracing):
+    # render_view runs its chunks on worker threads; its chunk function must
+    # look render_rays up at call time, so the tracer's rebinding still sees
+    # every chunk, and the heads and the lookup inside it
+    from trifield import render as rd
+    from trifield import scenes as sc
+
+    rng = np.random.default_rng(0)
+    tri = tp.random_triplane(rng, 4, 2)
+    heads = rd.init_field_heads(rng, 6, hidden=4, depth=2)
+    cam = sc.orbit_camera(0.7, 0.35, 3.0, height=64, width=64)
+    tracer = tracing.Tracer()
+    threads = {span: set() for span in ("render.rays", "render.heads", "triplane.sample")}
+    for span, seen in threads.items():
+        tracer.hooks[span].append(lambda args, result, seen=seen: seen.add(threading.get_ident()))
+    tracer.install()
+    try:
+        rd.render_view(tri, heads, cam, 8)
+    finally:
+        tracer.uninstall()
+    chunks = -(-64 * 64 // rd.RENDER_CHUNK)
+    assert chunks == 32
+    assert tracer.calls["render.view"] == 1
+    for span, seen in threads.items():
+        assert tracer.calls[span] == chunks, span
+        assert seen and threading.get_ident() not in seen, span
 
 
 def test_triplane_lookup_is_a_traced_primitive(tracing):

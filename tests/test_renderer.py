@@ -1,3 +1,7 @@
+import os
+import threading
+from concurrent import futures
+
 import numpy as np
 import pytest
 
@@ -203,6 +207,157 @@ def test_render_view_deterministic():
                                       bundle.t_near, bundle.t_far, 24)
     for got, want in ((a.image, rgb.data), (a.mask, mask.data), (a.depth, depth.data)):
         assert np.abs(got.reshape(want.shape) - want).max() < 1e-12
+
+
+def _serial_frame(tri, heads, cam, n):
+    """render_view's frame from a serial loop of render_rays over RENDER_CHUNK slices."""
+    bundle = rd.generate_rays(cam)
+    parts = [rd.render_rays(tri, heads, bundle.origins[lo:lo + rd.RENDER_CHUNK],
+                            bundle.directions[lo:lo + rd.RENDER_CHUNK], bundle.t_near, bundle.t_far, n)
+             for lo in range(0, len(bundle.origins), rd.RENDER_CHUNK)]
+    h, w = bundle.shape
+    return tuple(np.concatenate([part[i].data for part in parts]).reshape(shape)
+                 for i, shape in enumerate(((h, w, 3), (h, w), (h, w))))
+
+
+def _assert_frame(out, want):
+    for got, ref in zip((out.image, out.mask, out.depth), want):
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def _pool_model():
+    rng = np.random.default_rng(11)
+    return tp.random_triplane(rng, 6, 4, scale=0.5), rd.init_field_heads(rng, 12, hidden=8, depth=2)
+
+
+class _FakeBlas:
+    """A BLAS thread count that render_view pins and restores."""
+
+    def __init__(self, threads):
+        self.threads = threads
+        self.seen = []  # the count each chunk ran under
+
+    def set(self, k):
+        self.threads = k
+
+    def get(self):
+        return self.threads
+
+
+def _with_fake_blas(monkeypatch, threads=3):
+    blas = _FakeBlas(threads)
+    monkeypatch.setattr(rd, "_find_openblas", lambda: (blas.set, blas.get))
+    render_rays = rd.render_rays
+
+    def seen(*args, **kwargs):
+        blas.seen.append(blas.get())
+        return render_rays(*args, **kwargs)
+
+    monkeypatch.setattr(rd, "render_rays", seen)
+    return blas
+
+
+def _recorded_pools(monkeypatch):
+    workers = []
+
+    class Recording(futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", Recording)
+    return workers
+
+
+# 17x17 = 289 rays ends in a 33-ray chunk; 20x33 = 660 rays in a 20-ray one
+@pytest.mark.parametrize("n", [8, 24, 48, 96])
+@pytest.mark.parametrize("height, width", [(17, 17), (20, 33)])
+def test_render_view_pool_matches_serial_chunks(monkeypatch, n, height, width):
+    tri, heads = _pool_model()
+    cam = make_camera(height, width, fov=1.2)
+    assert (height * width) % rd.RENDER_CHUNK
+    workers = _recorded_pools(monkeypatch)
+    out = rd.render_view(tri, heads, cam, n)
+    _assert_frame(out, _serial_frame(tri, heads, cam, n))
+    assert workers == [len(os.sched_getaffinity(0)) if rd._find_openblas() is not None else 1]
+
+
+def test_render_view_without_openblas_runs_one_worker(monkeypatch):
+    tri, heads = _pool_model()
+    cam = make_camera(17, 17, fov=1.2)
+    want = _serial_frame(tri, heads, cam, 24)
+    monkeypatch.setattr(rd, "_find_openblas", lambda: None)
+    workers = _recorded_pools(monkeypatch)
+    _assert_frame(rd.render_view(tri, heads, cam, 24), want)
+    assert workers == [1]
+
+
+def test_render_view_pins_blas_and_restores_it(monkeypatch):
+    tri, heads = _pool_model()
+    cam = make_camera(17, 17, fov=1.2)
+    want = _serial_frame(tri, heads, cam, 24)
+    blas = _with_fake_blas(monkeypatch)
+    _assert_frame(rd.render_view(tri, heads, cam, 24), want)
+    assert blas.seen == [1, 1, 1]
+    assert blas.threads == 3
+
+
+def test_render_view_restores_the_loaded_openblas():
+    blas = rd._find_openblas()
+    if blas is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS found in /proc/self/maps")
+    set_threads, get_threads = blas
+    tri, heads = _pool_model()
+    before = get_threads()
+    rd.render_view(tri, heads, make_camera(17, 17, fov=1.2), 8)
+    assert get_threads() == before
+
+
+def test_render_view_chunk_error_reaches_caller_and_restores_blas(monkeypatch):
+    tri, heads = _pool_model()
+    cam = make_camera(17, 17, fov=1.2)
+    blas = _with_fake_blas(monkeypatch)
+    render_rays = rd.render_rays
+
+    def short_chunk_fails(tri, heads, origins, *args):
+        if len(origins) < rd.RENDER_CHUNK:
+            raise RuntimeError("chunk failed")
+        return render_rays(tri, heads, origins, *args)
+
+    monkeypatch.setattr(rd, "render_rays", short_chunk_fails)
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        rd.render_view(tri, heads, cam, 24)
+    assert blas.threads == 3
+    # the pin is released: the next frame renders
+    monkeypatch.setattr(rd, "render_rays", render_rays)
+    _assert_frame(rd.render_view(tri, heads, cam, 24), _serial_frame(tri, heads, cam, 24))
+    assert blas.threads == 3
+
+
+def test_concurrent_render_views_keep_frames_and_blas_count(monkeypatch):
+    tri, heads = _pool_model()
+    cams = [make_camera(17, 17, fov=1.2), make_camera(20, 33, fov=1.0)]
+    want = [_serial_frame(tri, heads, cam, 24) for cam in cams]
+    blas = _with_fake_blas(monkeypatch)
+    start = threading.Barrier(len(cams))
+    outs = [None] * len(cams)
+
+    def work(i):
+        start.wait()
+        outs[i] = rd.render_view(tri, heads, cams[i], 24)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cams))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    for out, ref in zip(outs, want):
+        _assert_frame(out, ref)
+    assert blas.threads == 3
+    assert set(blas.seen) == {1}
 
 
 def test_fitted_sphere_render_matches_fine_oracle():

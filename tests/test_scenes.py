@@ -179,8 +179,25 @@ def test_oracle_colors_only_rays_that_meet_density():
     assert _bit_identical(out.depth, depth)
 
 
+def test_oracle_evaluates_only_rays_that_meet_the_sphere():
+    # the sphere's box let 326 rays of this view reach sigma, 156 of which meet
+    # density; the closest-point test lets exactly those 156 through
+    scene = sc.make_scene("sphere")
+    cam = sc.orbit_camera(0.7, 0.35, 3.0, height=64, width=64)
+    evaluated, sigma = [], scene.sigma
+    scene.sigma = lambda p: evaluated.append(len(p)) or sigma(p)
+    out = sc.oracle_render(scene, cam, 512)
+    rgb, mask, depth = _whole_frame_oracle(sc.make_scene("sphere"), cam, 512)
+    assert np.count_nonzero(mask) == 156
+    assert sum(evaluated) == 156 * 512
+    assert _bit_identical(out.image, rgb)
+    assert _bit_identical(out.mask, mask)
+    assert _bit_identical(out.depth, depth)
+
+
 @pytest.mark.parametrize("kind, params", [
-    ("cube", {"half": 0.6}), ("cube", {"half": 0.95}), ("sphere", {"radius": 0.5}), ("sphere", {"radius": 0.9}),
+    ("cube", {"half": 0.6}), ("cube", {"half": 0.95}),
+    ("sphere", {"radius": 0.5}), ("sphere", {"radius": 0.9}), ("sphere", {"radius": 0.05}),
 ])
 @pytest.mark.parametrize("radius, elevation", [(1.8, 0.0), (3.0, 0.35), (5.0, -1.2)])
 def test_support_culled_oracle_is_bit_identical_to_whole_frame(kind, params, radius, elevation):
@@ -209,6 +226,24 @@ def test_support_test_keeps_grazing_rays_and_drops_clear_misses():
     # the centre ray reaches the -x face at t = 2.4
     assert scene.rays_meeting_support(origins[3:], directions[3:], 0.1, 2.4).all()
     assert not scene.rays_meeting_support(origins[3:], directions[3:], 0.1, 2.39).any()
+
+    sphere = sc.make_scene("sphere", {"radius": 0.5})
+    starts = np.array([
+        [-3.0, 0.5, 0.0],  # touches the sphere at (0, 0.5, 0)
+        [-3.0, 0.5 + 1e-12, 0.0],  # misses by 1e-12, inside the margin
+        [-3.0, 0.5 + 1e-6, 0.0],  # a clear miss
+        [-3.0, 0.0, 0.0],  # through the centre
+        [-3.0, 0.45, 0.45],  # inside the sphere's box, outside the sphere
+    ])
+    along_x = np.tile([1.0, 0.0, 0.0], (5, 1))
+    assert sphere.rays_meeting_support(starts, along_x, 0.1, 6.0).tolist() == [True, True, False, True, False]
+    # the centre ray reaches the sphere at t = 2.5, and one pointing away never does
+    assert sphere.rays_meeting_support(starts[3:4], along_x[:1], 0.1, 2.5).all()
+    assert not sphere.rays_meeting_support(starts[3:4], along_x[:1], 0.1, 2.49).any()
+    assert not sphere.rays_meeting_support(starts[3:4], -along_x[:1], 0.1, 6.0).any()
+    # a ray starting inside the sphere meets it at once
+    assert sphere.rays_meeting_support(np.zeros((1, 3)), along_x[:1], 0.1, 0.2).all()
+
     # vacuum has no density, so no ray meets it; two_blob's Gaussians reach every ray
     assert not sc.make_scene("vacuum").rays_meeting_support(origins, directions, 0.1, 6.0).any()
     assert sc.make_scene("two_blob").rays_meeting_support(origins, directions, 0.1, 6.0).all()

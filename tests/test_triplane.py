@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -72,6 +75,34 @@ def test_project_point_clamps_and_counts():
     assert tp.clamp_count() - before == 2
     assert coords[0, 0] == 4.0  # clamped to +1 before mapping
     assert coords[1, 1] == 0.0
+
+
+def test_clamp_count_sums_exactly_over_threads():
+    # render_view samples from worker threads; each call here clamps 5
+    # components, and a lost update would leave the sum short
+    tri = tp.random_triplane(np.random.default_rng(0), 3, 2)
+    pts = np.array([[1.5, 0.0, -2.0], [0.5, 3.0, 1.0], [-1.0 - 1e-9, 1.0, 1.0 + 1e-9], [0.0, 0.0, 0.0]])
+    n_threads, n_calls = 4, 50
+    start = threading.Barrier(n_threads)
+
+    def work():
+        start.wait()
+        for _ in range(n_calls):
+            tp.sample_triplane(tri, pts)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        before = tp.clamp_count()
+        threads = [threading.Thread(target=work) for _ in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert tp.clamp_count() - before == n_threads * n_calls * 5
 
 
 def test_sample_rejects_unbatched_point():
