@@ -48,18 +48,9 @@ def shared_axis(plane_a, plane_b):
     return common.pop()
 
 
-@dataclass
-class OAKeySet:
-    """Key pixels on `key_plane` attended by query pixel `q` on `query_plane`."""
-
-    query_plane: str
-    key_plane: str
-    q: tuple
-    indices: list  # (u, v) pairs, shared line first then cross-line remainder
-
-
 def oa_key_set(d, query_plane, key_plane, q, cross_line_index):
-    """Enumerate the key set: the shared-coordinate line plus the cross-line.
+    """The (u, v) key pixels on `key_plane` that query pixel `q` on `query_plane` attends:
+    the shared-coordinate line plus the cross-line.
 
     Ordering is deterministic: shared line ascending in its sweep coordinate,
     then the cross-line remainder ascending, duplicates removed.
@@ -87,8 +78,7 @@ def oa_key_set(d, query_plane, key_plane, q, cross_line_index):
         cross = [(cross_line_index, t) for t in range(d)]
 
     seen = set(line)
-    indices = list(line) + [k for k in cross if k not in seen]
-    return OAKeySet(query_plane, key_plane, (qu, qv), indices)
+    return line + [k for k in cross if k not in seen]
 
 
 MAX_PROMPT_TOKENS = 8
@@ -120,9 +110,9 @@ def token_ids(words):
 
 @dataclass
 class AttentionParams:
-    """Projections for one attention op.
+    """Projections for one single-head attention op.
 
-    w_q: (C_in, heads*d_k); w_k, w_v: (C_kv, heads*d_k); w_o: (heads*d_k, C_in).
+    w_q: (C_in, d_k); w_k, w_v: (C_kv, d_k); w_o: (d_k, C_in).
     Optional pre-norm gamma/beta applied to the query stream before projection.
     """
 
@@ -131,7 +121,6 @@ class AttentionParams:
     w_v: Tensor
     w_o: Tensor
     d_k: int
-    heads: int = 1
     ln_gamma: Tensor = None
     ln_beta: Tensor = None
 
@@ -140,36 +129,26 @@ class AttentionParams:
             setattr(self, name, as_tensor(getattr(self, name)))
         if self.d_k < 1:
             raise ValueError(f"d_k must be >= 1, got {self.d_k}")
-        hd = self.heads * self.d_k
-        if self.w_q.data.shape[1] != hd or self.w_k.data.shape[1] != hd or self.w_v.data.shape[1] != hd:
+        dk = self.d_k
+        if self.w_q.data.shape[1] != dk or self.w_k.data.shape[1] != dk or self.w_v.data.shape[1] != dk:
             raise ValueError(
-                f"w_q/w_k/w_v second dim must equal heads*d_k={hd}, got "
+                f"w_q/w_k/w_v second dim must equal d_k={dk}, got "
                 f"{self.w_q.data.shape}, {self.w_k.data.shape}, {self.w_v.data.shape}"
             )
-        if self.w_o.data.shape[0] != hd:
-            raise ValueError(f"w_o first dim must equal heads*d_k={hd}, got {self.w_o.data.shape}")
-
-    def tensors(self):
-        out = [self.w_q, self.w_k, self.w_v, self.w_o]
-        if self.ln_gamma is not None:
-            out += [self.ln_gamma, self.ln_beta]
-        return out
+        if self.w_o.data.shape[0] != dk:
+            raise ValueError(f"w_o first dim must equal d_k={dk}, got {self.w_o.data.shape}")
 
 
-def attention_params(rng, c_in, d_k, kv_dim=None, heads=1, zero_out=True, with_norm=False, requires_grad=False):
+def attention_params(rng, c_in, d_k, kv_dim=None, zero_out=True, with_norm=False):
     kv_dim = c_in if kv_dim is None else kv_dim
-    hd = heads * d_k
 
     def w(rows, cols, zero=False):
-        data = np.zeros((rows, cols)) if zero else rng.normal(scale=rows ** -0.5, size=(rows, cols))
-        return Tensor(data, requires_grad=requires_grad)
+        return Tensor(np.zeros((rows, cols)) if zero else rng.normal(scale=rows ** -0.5, size=(rows, cols)))
 
-    ln_g = Tensor(np.ones(c_in), requires_grad=requires_grad) if with_norm else None
-    ln_b = Tensor(np.zeros(c_in), requires_grad=requires_grad) if with_norm else None
     return AttentionParams(
-        w_q=w(c_in, hd), w_k=w(kv_dim, hd), w_v=w(kv_dim, hd),
-        w_o=w(hd, c_in, zero=zero_out), d_k=d_k, heads=heads,
-        ln_gamma=ln_g, ln_beta=ln_b,
+        w_q=w(c_in, d_k), w_k=w(kv_dim, d_k), w_v=w(kv_dim, d_k), w_o=w(d_k, c_in, zero=zero_out), d_k=d_k,
+        ln_gamma=Tensor(np.ones(c_in)) if with_norm else None,
+        ln_beta=Tensor(np.zeros(c_in)) if with_norm else None,
     )
 
 
@@ -179,22 +158,10 @@ def _maybe_norm(x, params):
     return layer_norm(x, params.ln_gamma, params.ln_beta)
 
 
-def _split_heads(t, batch, heads):
-    """(batch*M, heads*d_k) rows -> (batch*heads, M, d_k), each example's heads in order."""
-    m, dk = t.data.shape[0] // batch, t.data.shape[1] // heads
-    return reshape(transpose(reshape(t, (batch, m, heads, dk)), (0, 2, 1, 3)), (batch * heads, m, dk))
-
-
-def _merge_heads(t, batch):
-    """Inverse of `_split_heads`: (batch*heads, M, d_k) -> (batch*M, heads*d_k) rows."""
-    bh, m, dk = t.data.shape
-    return reshape(transpose(reshape(t, (batch, bh // batch, m, dk)), (0, 2, 1, 3)), (batch * m, bh // batch * dk))
-
-
 def stacked_orthogonal_attention(x, params, d, cross_line_index, batch=1):
     """Fused orthogonal attention on plane-stacked features (batch*3*D*D, C).
 
-    Each (query plane, partner) pair works on (batch*heads, D, D, d_k) arrays
+    Each (query plane, partner) pair works on (batch, D, D, d_k) arrays
     laid out [shared coordinate s, other coordinate]. Line: the D queries with
     shared coordinate s all attend to the D partner pixels of that s, one
     batched matmul. Cross-line: every query attends to the same D partner
@@ -206,13 +173,12 @@ def stacked_orthogonal_attention(x, params, d, cross_line_index, batch=1):
     """
     if not 0 <= cross_line_index < d:
         raise ValueError(f"cross_line_index {cross_line_index} outside [0, {d - 1}]")
-    dd, dk, heads = d * d, params.d_k, params.heads
-    bh = batch * heads
+    dd, dk = d * d, params.d_k
     xn = _maybe_norm(x, params)
 
-    def planes(w):  # per plane, (batch*heads, D, D, d_k) stored [v, u]
-        t = reshape(_split_heads(matmul(xn, w), batch, heads), (bh, 3, d, d, dk))
-        return [reshape(narrow(t, 1, p, 1), (bh, d, d, dk)) for p in range(3)]
+    def planes(w):  # per plane, (batch, D, D, d_k) stored [v, u]
+        t = reshape(matmul(xn, w), (batch, 3, d, d, dk))
+        return [reshape(narrow(t, 1, p, 1), (batch, d, d, dk)) for p in range(3)]
 
     def by_shared(t, plane, s):  # [v, u] <-> [s, other]: a swap when s is the plane's u axis
         return transpose(t, (0, 2, 1, 3)) if PLANE_AXES[plane][0] == s else t
@@ -220,26 +186,26 @@ def stacked_orthogonal_attention(x, params, d, cross_line_index, batch=1):
     q, k, v = planes(params.w_q), planes(params.w_k), planes(params.w_v)
     overlap = np.zeros((d, 1, 2 * d))
     overlap[np.arange(d), 0, d + np.arange(d)] = -np.inf  # cross-line key t == s
-    mask = Tensor(np.broadcast_to(overlap, (bh, d, d, 2 * d)))
+    mask = Tensor(np.broadcast_to(overlap, (batch, d, d, 2 * d)))
     scale = 1.0 / np.sqrt(dk)
 
-    def attend(pi, partner):  # (batch*heads, D, D, d_k) [v, u] result of one partner's key set
+    def attend(pi, partner):  # (batch, D, D, d_k) [v, u] result of one partner's key set
         pid, ki = PLANE_IDS[pi], PLANE_IDS.index(partner)
         s = shared_axis(pid, partner)
         qs = by_shared(q[pi], pid, s)
         ks, vs = by_shared(k[ki], partner, s), by_shared(v[ki], partner, s)
-        kc = reshape(narrow(ks, 2, cross_line_index, 1), (bh, d, dk))  # cross-line keys by t
-        vc = reshape(narrow(vs, 2, cross_line_index, 1), (bh, d, dk))
-        line = matmul(qs, transpose(ks, (0, 1, 3, 2)))  # (BH, D_s, D_o, D_t)
-        cross = reshape(matmul(reshape(qs, (bh, dd, dk)), transpose(kc, (0, 2, 1))), (bh, d, d, d))
+        kc = reshape(narrow(ks, 2, cross_line_index, 1), (batch, d, dk))  # cross-line keys by t
+        vc = reshape(narrow(vs, 2, cross_line_index, 1), (batch, d, dk))
+        line = matmul(qs, transpose(ks, (0, 1, 3, 2)))  # (B, D_s, D_o, D_t)
+        cross = reshape(matmul(reshape(qs, (batch, dd, dk)), transpose(kc, (0, 2, 1))), (batch, d, d, d))
         w = softmax(add(mul(concat([line, cross], axis=3), scale), mask), axis=3)
         o = add(matmul(narrow(w, 3, 0, d), vs),
-                reshape(matmul(reshape(narrow(w, 3, d, d), (bh, dd, d)), vc), (bh, d, d, dk)))
+                reshape(matmul(reshape(narrow(w, 3, d, d), (batch, dd, d)), vc), (batch, d, d, dk)))
         return by_shared(o, pid, s)
 
-    outs = [reshape(add(*(attend(pi, partner) for partner in OA_PARTNERS[pid])), (bh, dd, dk))
+    outs = [reshape(add(*(attend(pi, partner) for partner in OA_PARTNERS[pid])), (batch, dd, dk))
             for pi, pid in enumerate(PLANE_IDS)]
-    return add(x, matmul(_merge_heads(concat(outs, axis=1), batch), params.w_o))
+    return add(x, matmul(reshape(concat(outs, axis=1), (batch * 3 * dd, dk)), params.w_o))
 
 
 def orthogonal_attention(tri, params, cross_line_index=None):
@@ -265,7 +231,7 @@ def orthogonal_attention_reference(tri_arrays, params, cross_line_index):
     planes = [np.asarray(p, dtype=np.float64) for p in tri_arrays]
     d, _, c = planes[0].shape
     wq, wk, wv, wo = (params.w_q.data, params.w_k.data, params.w_v.data, params.w_o.data)
-    dk, heads = params.d_k, params.heads
+    dk = params.d_k
 
     def norm_row(x):
         if params.ln_gamma is None:
@@ -279,20 +245,16 @@ def orthogonal_attention_reference(tri_arrays, params, cross_line_index):
         for v in range(d):
             for u in range(d):
                 x_m = norm_row(planes[pi][v, u])
-                q_full = x_m @ wq
-                acc = np.zeros(heads * dk)
+                q = x_m @ wq
+                acc = np.zeros(dk)
                 for partner in OA_PARTNERS[pid]:
                     kplane = planes[PLANE_IDS.index(partner)]
-                    ks = oa_key_set(d, pid, partner, (u, v), cross_line_index)
-                    feats = np.stack([norm_row(kplane[kv, ku]) for (ku, kv) in ks.indices])
-                    k_full = feats @ wk
-                    v_full = feats @ wv
-                    for h in range(heads):
-                        sl = slice(h * dk, (h + 1) * dk)
-                        scores = k_full[:, sl] @ q_full[sl] / np.sqrt(dk)
-                        w = np.exp(scores - scores.max())
-                        w /= w.sum()
-                        acc[sl] += w @ v_full[:, sl]
+                    keys = oa_key_set(d, pid, partner, (u, v), cross_line_index)
+                    feats = np.stack([norm_row(kplane[kv, ku]) for (ku, kv) in keys])
+                    scores = (feats @ wk) @ q / np.sqrt(dk)
+                    w = np.exp(scores - scores.max())
+                    w /= w.sum()
+                    acc += w @ (feats @ wv)
                 out[pi][v, u] = planes[pi][v, u] + acc @ wo
     return out
 
@@ -302,20 +264,21 @@ def cross_attention(x, tokens, params, batch=1):
 
     x: (batch*N, C) rows with each example's N rows contiguous, such as
     `stack_planes` output. tokens: (batch*L, d_model) rows with each example's
-    L token rows contiguous, so captions never mix across a batch. Per head,
-    the scores are one batched matmul softmaxed over the L tokens, and the
-    attended values one more. Returns (batch*N, C) rows with a residual
-    connection always applied.
+    L token rows contiguous, so captions never mix across a batch. The scores
+    are one batched matmul softmaxed over the L tokens, and the attended values
+    one more. Returns (batch*N, C) rows with a residual connection always
+    applied.
     """
     x, tokens = as_tensor(x), as_tensor(tokens)
     n, n_tok = x.data.shape[0], tokens.data.shape[0]
     if batch < 1 or n % batch or n_tok % batch or not n_tok:
         raise ValueError(f"cross_attention: {n} query rows and {n_tok} token rows do not split into {batch} examples")
-    q = _split_heads(matmul(_maybe_norm(x, params), params.w_q), batch, params.heads)  # (B*heads, N, d_k)
-    k = _split_heads(matmul(tokens, params.w_k), batch, params.heads)  # (B*heads, L, d_k)
-    v = _split_heads(matmul(tokens, params.w_v), batch, params.heads)
-    w = softmax(mul(matmul(q, transpose(k, (0, 2, 1))), 1.0 / np.sqrt(params.d_k)), axis=2)
-    return add(x, matmul(_merge_heads(matmul(w, v), batch), params.w_o))
+    dk = params.d_k
+    q = reshape(matmul(_maybe_norm(x, params), params.w_q), (batch, n // batch, dk))
+    k = reshape(matmul(tokens, params.w_k), (batch, n_tok // batch, dk))
+    v = reshape(matmul(tokens, params.w_v), (batch, n_tok // batch, dk))
+    w = softmax(mul(matmul(q, transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dk)), axis=2)
+    return add(x, matmul(reshape(matmul(w, v), (n, dk)), params.w_o))
 
 
 @dataclass
@@ -335,21 +298,20 @@ class RefineParams:
     blocks: list = field(default_factory=list)
 
 
-def refine_params(rng, c, d_k, d_model, depth, hidden=None, heads=1, requires_grad=False):
-    hidden = 2 * c if hidden is None else hidden
+def refine_params(rng, c, d_k, d_model, depth):
+    hidden = 2 * c
     blocks = []
     for _ in range(depth):
         blocks.append(
             RefineBlockParams(
-                ca=attention_params(rng, c, d_k, kv_dim=d_model, heads=heads,
-                                    with_norm=True, requires_grad=requires_grad),
-                oa=attention_params(rng, c, d_k, heads=heads, with_norm=True, requires_grad=requires_grad),
-                mlp_w1=Tensor(rng.normal(scale=c ** -0.5, size=(c, hidden)), requires_grad=requires_grad),
-                mlp_b1=Tensor(np.zeros(hidden), requires_grad=requires_grad),
-                mlp_w2=Tensor(np.zeros((hidden, c)), requires_grad=requires_grad),
-                mlp_b2=Tensor(np.zeros(c), requires_grad=requires_grad),
-                mlp_gamma=Tensor(np.ones(c), requires_grad=requires_grad),
-                mlp_beta=Tensor(np.zeros(c), requires_grad=requires_grad),
+                ca=attention_params(rng, c, d_k, kv_dim=d_model, with_norm=True),
+                oa=attention_params(rng, c, d_k, with_norm=True),
+                mlp_w1=Tensor(rng.normal(scale=c ** -0.5, size=(c, hidden))),
+                mlp_b1=Tensor(np.zeros(hidden)),
+                mlp_w2=Tensor(np.zeros((hidden, c))),
+                mlp_b2=Tensor(np.zeros(c)),
+                mlp_gamma=Tensor(np.ones(c)),
+                mlp_beta=Tensor(np.zeros(c)),
             )
         )
     return RefineParams(blocks)

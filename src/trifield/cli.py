@@ -68,6 +68,22 @@ def _numerics_entries(rng, seed):
     return entries
 
 
+def _with_plane(tri, x):
+    """`tri` with its xy plane replaced by the (D, D, C) tensor x."""
+    from . import autodiff as ad
+    from . import triplane as tp
+
+    d, c = tri.resolution, tri.channels
+    return tp.Triplane(ad.concat([ad.reshape(x, (1, d, d, c)), ad.narrow(tri.tensor, 0, 1, 2)]))
+
+
+def _on_plane(tri, fn):
+    """A check of fn's gradient at tri's xy plane."""
+    from . import autodiff as ad
+
+    return lambda: ad.grad_check(fn, ad.Tensor(tri.tensor.data[0].copy(), requires_grad=True))
+
+
 def _attention_entries(rng):
     from . import attention as at
     from . import autodiff as ad
@@ -85,26 +101,20 @@ def _attention_entries(rng):
         block.oa.w_o.data = rng.normal(scale=0.3, size=block.oa.w_o.data.shape)
         block.mlp_w2.data = rng.normal(scale=0.3, size=block.mlp_w2.data.shape)
 
-    def with_plane(x):
-        return tp.Triplane(ad.concat([ad.reshape(x, (1, d, d, c)), ad.narrow(tri.tensor, 0, 1, 2)]))
-
-    def on_plane(fn):
-        return lambda: ad.grad_check(fn, ad.Tensor(tri.tensor.data[0].copy(), requires_grad=True))
-
     def oa_loss(x):
-        return ad.tsum(ad.mul(at.orthogonal_attention(with_plane(x), pr_oa, d // 2).planes[0], probe))
+        return ad.tsum(ad.mul(at.orthogonal_attention(_with_plane(tri, x), pr_oa, d // 2).planes[0], probe))
 
     def ca_loss(x):
-        rows = at.cross_attention(tp.stack_planes([with_plane(x)]), text.tokens, pr_ca)
+        rows = at.cross_attention(tp.stack_planes([_with_plane(tri, x)]), text.tokens, pr_ca)
         return ad.tsum(ad.mul(tp.unstack_planes(rows, d, c)[0].planes[0], probe))
 
     def refine_loss(x):
-        return ad.tsum(ad.mul(at.transformer_refine(with_plane(x), text, pr_refine).planes[0], probe))
+        return ad.tsum(ad.mul(at.transformer_refine(_with_plane(tri, x), text, pr_refine).planes[0], probe))
 
     return [
-        ("attention.orthogonal", 1e-6, on_plane(oa_loss)),
-        ("attention.cross", 1e-6, on_plane(ca_loss)),
-        ("attention.transformer_refine", 1e-5, on_plane(refine_loss)),
+        ("attention.orthogonal", 1e-6, _on_plane(tri, oa_loss)),
+        ("attention.cross", 1e-6, _on_plane(tri, ca_loss)),
+        ("attention.transformer_refine", 1e-5, _on_plane(tri, refine_loss)),
     ]
 
 
@@ -129,17 +139,11 @@ def _renderer_entries(rng):
     cam = rd.Camera(pos, look_at_origin(pos), 1.1, 4, 4)
     probe_rgb = ad.Tensor(rng.normal(size=(5, 3)))
 
-    def with_plane(x):
-        return tp.Triplane(ad.concat([ad.reshape(x, (1, d, d, c)), ad.narrow(tri.tensor, 0, 1, 2)]))
-
-    def on_plane(fn):
-        return lambda: ad.grad_check(fn, ad.Tensor(tri.tensor.data[0].copy(), requires_grad=True))
-
     def samp_loss(x):
-        return ad.tsum(ad.mul(tp.sample_triplane(with_plane(x), pts), probe))
+        return ad.tsum(ad.mul(tp.sample_triplane(_with_plane(tri, x), pts), probe))
 
     def sigma_loss(x):
-        sigma, _ = rd.field_eval_batch(with_plane(x), heads, pts)
+        sigma, _ = rd.field_eval_batch(_with_plane(tri, x), heads, pts)
         return ad.tsum(sigma)
 
     def head_w0_loss(x):
@@ -158,21 +162,21 @@ def _renderer_entries(rng):
 
     def render_loss_fn(x):
         bundle = rd.generate_rays(cam)
-        rgb, mask, depth = rd.render_rays(with_plane(x), heads, bundle.origins, bundle.directions,
+        rgb, mask, depth = rd.render_rays(_with_plane(tri, x), heads, bundle.origins, bundle.directions,
                                           bundle.t_near, bundle.t_far, 8)
         pred = rd.RenderOutput(rgb, mask, depth)
         gt = rd.RenderOutput(np.zeros((16, 3)), np.zeros(16), np.full(16, bundle.t_far))
         return tr.render_loss([pred], [gt])
 
     return [
-        ("renderer.sample_triplane", 1e-6, on_plane(samp_loss)),
-        ("renderer.field_eval_sigma", 1e-5, on_plane(sigma_loss)),
+        ("renderer.sample_triplane", 1e-6, _on_plane(tri, samp_loss)),
+        ("renderer.field_eval_sigma", 1e-5, _on_plane(tri, sigma_loss)),
         ("renderer.field_eval_sigma_w0", 1e-5,
          lambda: ad.grad_check(head_w0_loss, ad.Tensor(heads.s_layers[0][0].data.copy()))),
         ("renderer.field_eval_color_bias", 1e-6,
          lambda: ad.grad_check(head_bias_loss, ad.Tensor(heads.c_layers[-1][1].data.copy()))),
         ("renderer.integrate_ray", 1e-6, lambda: ad.grad_check(integrate_loss, sig0)),
-        ("renderer.render_loss_path", 1e-4, on_plane(render_loss_fn)),
+        ("renderer.render_loss_path", 1e-4, _on_plane(tri, render_loss_fn)),
     ]
 
 
@@ -352,15 +356,16 @@ def cmd_render(args):
 
     from . import scenes as sc
     from .checkpoint import load_fit_checkpoint
-    from .config import Real
+    from .config import SPEC, Real
     from .images import write_pgm, write_ppm
     from .render import default_bounds, render_view
 
     cfg = _load_config(args)
     _checked_scene(cfg)  # render reads no scene, yet refuses the values fit and eval refuse
     size = cfg["render.size"] if args.size is None else args.size
-    if size < 1:
-        print(f"usage error: --size must be >= 1, got {size}", file=sys.stderr)
+    problem = SPEC["render.size"][1].problem(size)
+    if problem:
+        print(f"usage error: --size {problem}, got {size}", file=sys.stderr)
         return 2
     if not np.isfinite(args.elevation):
         print(f"usage error: --elevation {args.elevation} is not a finite number of degrees", file=sys.stderr)
@@ -462,11 +467,11 @@ def cmd_diffusion(args):
         denoiser = _load_checkpoint(df.load_denoiser, args.checkpoint)
         if denoiser is None:
             return 1
-        for field in ("resolution", "channels"):
-            have, want = getattr(denoiser.cfg, field), cfg[f"diffusion.grid_{field}"]
+        for field, key in (("resolution", "diffusion.grid_resolution"), ("channels", "diffusion.grid_channels"),
+                           ("timesteps", "diffusion.timesteps")):
+            have, want = getattr(denoiser.cfg, field), cfg[key]
             if have != want:
-                print(f"checkpoint error: denoiser {field} {have} does not match diffusion.grid_{field} {want}",
-                      file=sys.stderr)
+                print(f"checkpoint error: denoiser {field} {have} does not match {key} {want}", file=sys.stderr)
                 return 1
     out = _make_out(cfg)
 

@@ -56,9 +56,10 @@ class Int(Text):
         self.least, self.most, self.even = least, most, even
 
     def problem(self, value):
-        if value < self.least or (self.most is not None and value > self.most) or (self.even and value % 2):
-            span = f">= {self.least}" if self.most is None else f"in [{self.least}, {self.most}]"
-            return f"must be {'an even integer ' if self.even else ''}{span}"
+        if value < self.least or (self.even and value % 2):
+            return f"must be {'an even integer ' if self.even else ''}>= {self.least}"
+        if self.most is not None and value > self.most:
+            return f"must be <= {self.most}"
         return None
 
 
@@ -84,7 +85,9 @@ class Real(Text):
         return f"must be in {'[' if self.low_in else '('}{self.low:g}, {self.high:g})"
 
 
-# key -> (default, domain); dotted prefixes group module sections
+# key -> (default, domain); dotted prefixes group module sections. A key that sizes
+# an array has a `most` far above any value configs/ and the tests use, so that a
+# mistyped size exits 2 rather than reaching numpy's array size limit mid-run.
 SPEC = {
     "seed": (0, Int(0)),             # numpy's generators take no negative seed
     "out": ("out", Text()),
@@ -99,18 +102,18 @@ SPEC = {
     "fit.iterations": (3000, Int(1)),
     "fit.lr_planes": (5e-3, Real(0.0)),
     "fit.lr_heads": (5e-4, Real(0.0)),
-    "fit.ray_batch": (256, Int(1)),
-    "fit.samples_per_ray": (48, Int(1)),
-    "fit.grid_resolution": (32, Int(1)),
-    "fit.grid_channels": (16, Int(1)),
-    "fit.hidden": (32, Int(1)),
-    "fit.mlp_depth": (2, Int(1)),
-    "fit.n_freqs": (0, Int(0)),
+    "fit.ray_batch": (256, Int(1, 1 << 16)),
+    "fit.samples_per_ray": (48, Int(1, 4096)),
+    "fit.grid_resolution": (32, Int(1, 1024)),
+    "fit.grid_channels": (16, Int(1, 1024)),
+    "fit.hidden": (32, Int(1, 4096)),
+    "fit.mlp_depth": (2, Int(1, 64)),
+    "fit.n_freqs": (0, Int(0, 64)),             # past octave 2^52 a float64 point's phase is rounding noise
     "fit.val_every": (100, Int(1)),
-    "fit.val_rays": (512, Int(1)),
+    "fit.val_rays": (512, Int(1)),              # capped at the supervision rays
     "fit.stratified": (True, Flag()),
-    "fit.views": (8, Int(2)),
-    "fit.image_size": (64, Int(1)),
+    "fit.views": (8, Int(2, 1024)),
+    "fit.image_size": (64, Int(1, 4096)),
     # the camera must sit outside the world cube; far out, the r +- sqrt(3) sample
     # bins lose float64 resolution (at 1e16 they collapse and integration fails)
     "fit.orbit_radius": (3.0, Real(math.sqrt(3.0), 1e6)),
@@ -119,33 +122,33 @@ SPEC = {
     "fit.lambda_mask": (0.5, Real(0.0, low_in=True)),
     "fit.lambda_depth": (1.0, Real(0.0, low_in=True)),
 
-    "render.samples_per_ray": (96, Int(1)),
-    "render.size": (64, Int(1)),
+    "render.samples_per_ray": (96, Int(1, 4096)),
+    "render.size": (64, Int(1, 4096)),
 
     "eval.azimuths_deg": ((0.0, 90.0, 180.0, 270.0), Reals()),
     "eval.unseen_azimuth_deg": (137.0, Real()),
     "eval.elevation_deg": (20.0, Real()),
-    "eval.oracle_samples": (1024, Int(512)),
+    "eval.oracle_samples": (1024, Int(512, 1 << 16)),
 
     "diffusion.steps": (800, Int(1)),
-    "diffusion.batch": (4, Int(1)),
+    "diffusion.batch": (4, Int(1, 1024)),
     "diffusion.lr": (2e-3, Real(0.0)),
     # the schedule holds a few floats per timestep and is built before any work
     "diffusion.timesteps": (100, Int(1, 100_000)),
     "diffusion.beta_start": (1e-4, Real(0.0, 1.0)),
     "diffusion.beta_end": (0.02, Real(0.0, 1.0)),
     # the toy dataset draws box sides from [3, d - 2]; the denoiser halves d once
-    "diffusion.grid_resolution": (16, Int(6, even=True)),
-    "diffusion.grid_channels": (4, Int(4)),    # occupancy + rgb
-    "diffusion.hidden": (16, Int(2, even=True)),  # split into sin/cos timestep features
-    "diffusion.d_k": (4, Int(1)),
-    "diffusion.d_model": (16, Int(1)),
-    "diffusion.dataset_size": (32, Int(1)),
+    "diffusion.grid_resolution": (16, Int(6, 256, even=True)),
+    "diffusion.grid_channels": (4, Int(4, 256)),    # occupancy + rgb
+    "diffusion.hidden": (16, Int(2, 1024, even=True)),  # split into sin/cos timestep features
+    "diffusion.d_k": (4, Int(1, 1024)),
+    "diffusion.d_model": (16, Int(1, 1024)),
+    "diffusion.dataset_size": (32, Int(1, 1 << 16)),
     "diffusion.dataset_seed": (11, Int(0)),
     "diffusion.use_oa": (True, Flag()),
     "diffusion.freeze_backbone": (False, Flag()),
-    "diffusion.samples": (8, Int(1)),
-    "diffusion.sample_chunk": (8, Int(1)),
+    "diffusion.samples": (8, Int(1, 1 << 16)),
+    "diffusion.sample_chunk": (8, Int(1)),     # capped at diffusion.samples
 }
 DEFAULTS = {key: default for key, (default, _) in SPEC.items()}
 

@@ -24,6 +24,8 @@ DENOISER_MAGIC = b"DNZR"
 PARAMS_MAGIC = b"PRMS"
 # the DNZR block's u32 fields, then a u32 of flags: bit 0 use_adapters, bit 1 adapter_attention
 DENOISER_FIELDS = ("resolution", "channels", "hidden", "d_k", "d_model", "timesteps")
+# the schedule's defaults: T steps of betas rising linearly from BETA_START to BETA_END
+TIMESTEPS, BETA_START, BETA_END = 100, 1e-4, 0.02
 
 
 @dataclass
@@ -51,7 +53,7 @@ class NoiseSchedule:
             raise ValueError(f"t must be in [1, {self.timesteps}], got {t}")
 
 
-def make_schedule(timesteps, beta_start=1e-4, beta_end=0.02):
+def make_schedule(timesteps, beta_start=BETA_START, beta_end=BETA_END):
     if timesteps < 1:
         raise ValueError(f"timesteps must be >= 1, got {timesteps}")
     if not (0.0 < beta_start <= beta_end < 1.0):
@@ -104,7 +106,7 @@ class DenoiserConfig:
     hidden: int = 16
     d_k: int = 4
     d_model: int = 16
-    timesteps: int = 100  # normalizes the timestep embedding
+    timesteps: int = TIMESTEPS  # normalizes the timestep embedding
     use_adapters: bool = True
     adapter_attention: bool = True  # cross-plane attention inside each adapter
     seed: int = 0
@@ -268,9 +270,9 @@ class DiffusionTrainConfig:
     steps: int = 800
     batch: int = 4
     lr: float = 2e-3
-    timesteps: int = 100
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
+    timesteps: int = TIMESTEPS
+    beta_start: float = BETA_START
+    beta_end: float = BETA_END
     freeze_backbone: bool = False
     seed: int = 0
 

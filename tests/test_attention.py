@@ -14,21 +14,21 @@ def test_key_set_worked_example():
     ks = at.oa_key_set(4, "xy", "xz", (1, 2), 0)
     shared = {(1, z) for z in range(4)}
     cross = {(x, 0) for x in range(4)}
-    assert set(ks.indices) == shared | cross
-    assert len(ks.indices) == 7  # (1, 0) deduplicated
+    assert set(ks) == shared | cross
+    assert len(ks) == 7  # (1, 0) deduplicated
     # ordering: shared line ascending, then cross-line remainder ascending
-    assert ks.indices[:4] == [(1, 0), (1, 1), (1, 2), (1, 3)]
-    assert ks.indices[4:] == [(0, 0), (2, 0), (3, 0)]
+    assert ks[:4] == [(1, 0), (1, 1), (1, 2), (1, 3)]
+    assert ks[4:] == [(0, 0), (2, 0), (3, 0)]
 
 
 def test_key_set_degenerate_resolution():
     ks = at.oa_key_set(1, "xy", "yz", (0, 0), 0)
-    assert ks.indices == [(0, 0)]
+    assert ks == [(0, 0)]
 
 
 def test_key_set_shared_coordinate_on_cross_line():
     ks = at.oa_key_set(4, "xy", "xz", (0, 1), 0)
-    assert len(ks.indices) == 7
+    assert len(ks) == 7
 
 
 def test_key_set_rejects_same_plane():
@@ -56,11 +56,11 @@ def test_key_set_size_and_membership(d):
                 for qv in range(d):
                     cross = (qu + qv) % d
                     ks = at.oa_key_set(d, q_plane, k_plane, (qu, qv), cross)
-                    assert len(ks.indices) == len(set(ks.indices)) == 2 * d - 1
+                    assert len(ks) == len(set(ks)) == 2 * d - 1
                     shared_val = (qu, qv)[pos_q]
-                    line = {k for k in ks.indices if k[pos_k] == shared_val}
+                    line = {k for k in ks if k[pos_k] == shared_val}
                     assert len(line) == d  # full shared-coordinate line
-                    cross_line = {k for k in ks.indices if k[1 - pos_k] == cross}
+                    cross_line = {k for k in ks if k[1 - pos_k] == cross}
                     assert len(cross_line) == d  # full cross-line
 
 
@@ -76,23 +76,23 @@ def test_key_set_properties_hold_for_any_query(d, planes, data):
     qv = data.draw(st.integers(0, d - 1))
     cross = data.draw(st.integers(0, d - 1))
     ks = at.oa_key_set(d, q_plane, k_plane, (qu, qv), cross)
-    assert len(ks.indices) == len(set(ks.indices)) == max(2 * d - 1, 1)
-    assert all(0 <= u < d and 0 <= v < d for u, v in ks.indices)
+    assert len(ks) == len(set(ks)) == max(2 * d - 1, 1)
+    assert all(0 <= u < d and 0 <= v < d for u, v in ks)
     s = at.shared_axis(q_plane, k_plane)
     pos_q = tp.PLANE_AXES[q_plane].index(s)
     pos_k = tp.PLANE_AXES[k_plane].index(s)
     shared_val = (qu, qv)[pos_q]
-    assert sum(1 for k in ks.indices if k[pos_k] == shared_val) == d
-    assert sum(1 for k in ks.indices if k[1 - pos_k] == cross) == d
+    assert sum(1 for k in ks if k[pos_k] == shared_val) == d
+    assert sum(1 for k in ks if k[1 - pos_k] == cross) == d
 
 
 def test_shared_coordinate_relation_is_symmetric():
     # pixel (a, b) on xy attends the line x = a in xz; (a, z) on xz attends x = a in xy
     a, b, z = 2, 1, 3
     ks_xy = at.oa_key_set(5, "xy", "xz", (a, b), 0)
-    assert {(a, t) for t in range(5)} <= set(ks_xy.indices)
+    assert {(a, t) for t in range(5)} <= set(ks_xy)
     ks_xz = at.oa_key_set(5, "xz", "xy", (a, z), 0)
-    assert {(a, t) for t in range(5)} <= set(ks_xz.indices)
+    assert {(a, t) for t in range(5)} <= set(ks_xz)
 
 
 def test_oa_zero_value_path_is_identity():
@@ -117,7 +117,7 @@ def test_oa_uniform_weights_give_key_set_mean():
     acc = np.zeros(3)
     for partner in at.OA_PARTNERS["xy"]:
         ks = at.oa_key_set(d, "xy", partner, (u, v), cross)
-        feats = np.stack([planes[PLANE_IDS.index(partner)][kv, ku] for ku, kv in ks.indices])
+        feats = np.stack([planes[PLANE_IDS.index(partner)][kv, ku] for ku, kv in ks])
         acc += (feats @ params.w_v.data).mean(axis=0)
     want = planes[0][v, u] + acc @ params.w_o.data
     assert np.allclose(out.tensor.data[0, v, u], want, atol=1e-12)
@@ -135,15 +135,6 @@ def test_oa_matches_brute_force_reference(d, c):
         assert dev < 1e-10
 
 
-def test_oa_multi_head_matches_reference():
-    rng = np.random.default_rng(9)
-    tri = tp.random_triplane(rng, 4, 4, scale=1.0)
-    params = at.attention_params(rng, 4, d_k=2, heads=2, zero_out=False)
-    out = at.orthogonal_attention(tri, params, 2)
-    ref = at.orthogonal_attention_reference(tri.tensor.data, params, 2)
-    assert max(np.abs(o - r).max() for o, r in zip(out.tensor.data, ref)) < 1e-10
-
-
 def test_oa_set_valued_over_keys():
     # permuting a key set together with its features leaves attention unchanged:
     # the reference computed with shuffled key enumerations must agree
@@ -157,9 +148,8 @@ def test_oa_set_valued_over_keys():
 
     def shuffled(dd, qp, kp, q, cross):
         ks = orig(dd, qp, kp, q, cross)
-        order = np.random.default_rng(hash((q, qp, kp)) % 2**32).permutation(len(ks.indices))
-        ks.indices = [ks.indices[i] for i in order]
-        return ks
+        order = np.random.default_rng(hash((q, qp, kp)) % 2**32).permutation(len(ks))
+        return [ks[i] for i in order]
 
     at.oa_key_set = shuffled
     try:
@@ -230,11 +220,11 @@ def test_cross_attention_two_token_closed_form():
 
 
 def test_cross_attention_batch_equals_per_example_calls():
-    # two examples with different captions, multi-head with pre-norm: each
-    # example's rows attend only to its own caption
+    # two examples with different captions, with pre-norm: each example's
+    # rows attend only to its own caption
     rng = np.random.default_rng(11)
     c, dm, length, rows = 3, 5, 4, 12
-    params = at.attention_params(rng, c, d_k=2, kv_dim=dm, heads=2, zero_out=False, with_norm=True)
+    params = at.attention_params(rng, c, d_k=2, kv_dim=dm, zero_out=False, with_norm=True)
     x = rng.normal(size=(2 * rows, c))
     captions = rng.normal(size=(2, length, dm))
     both = at.cross_attention(Tensor(x), Tensor(captions.reshape(2 * length, dm)), params, batch=2)
@@ -248,7 +238,7 @@ def test_cross_attention_batch_equals_per_example_calls():
 
 
 def cross_attention_reference(x, tokens, params, batch):
-    """Per-row numpy oracle: each row softmaxes over its own example's tokens, one head at a time."""
+    """Per-row numpy oracle: each row softmaxes over its own example's tokens."""
     rows, length, dk = len(x) // batch, len(tokens) // batch, params.d_k
     out = x.copy()
     for i, row in enumerate(x):
@@ -256,23 +246,18 @@ def cross_attention_reference(x, tokens, params, batch):
             row = (row - row.mean()) / np.sqrt(row.var() + 1e-6) * params.ln_gamma.data + params.ln_beta.data
         caption = tokens[i // rows * length:(i // rows + 1) * length]
         q, k, v = row @ params.w_q.data, caption @ params.w_k.data, caption @ params.w_v.data
-        att = np.zeros(params.heads * dk)
-        for h in range(params.heads):
-            sl = slice(h * dk, (h + 1) * dk)
-            s = k[:, sl] @ q[sl] / np.sqrt(dk)
-            w = np.exp(s - s.max())
-            att[sl] = w / w.sum() @ v[:, sl]
-        out[i] += att @ params.w_o.data
+        s = k @ q / np.sqrt(dk)
+        w = np.exp(s - s.max())
+        out[i] += (w / w.sum() @ v) @ params.w_o.data
     return out
 
 
 @pytest.mark.parametrize("batch", [1, 3])
 @pytest.mark.parametrize("with_norm", [False, True])
-@pytest.mark.parametrize("heads", [1, 2])
-def test_cross_attention_matches_per_row_reference(heads, with_norm, batch):
-    rng = np.random.default_rng(100 * heads + 10 * with_norm + batch)
+def test_cross_attention_matches_per_row_reference(with_norm, batch):
+    rng = np.random.default_rng(100 + 10 * with_norm + batch)
     d, c, dm, length = 3, 4, 5, 3
-    params = at.attention_params(rng, c, d_k=2, kv_dim=dm, heads=heads, zero_out=False, with_norm=with_norm)
+    params = at.attention_params(rng, c, d_k=2, kv_dim=dm, zero_out=False, with_norm=with_norm)
     if with_norm:
         params.ln_gamma.data = rng.normal(size=c)
         params.ln_beta.data = rng.normal(size=c)
@@ -360,13 +345,12 @@ def stacked_planes(x, batch, d, c):
     return [[p.reshape(d, d, c) for p in np.split(xb, 3)] for xb in np.split(x, batch)]
 
 
-@pytest.mark.parametrize("d,heads,with_norm", [(1, 1, False), (2, 1, False), (3, 1, False), (5, 1, False),
-                                                (4, 2, True)])
-def test_stacked_oa_batch_matches_reference_per_example(d, heads, with_norm):
+@pytest.mark.parametrize("d,with_norm", [(1, False), (2, False), (3, False), (5, False), (4, True)])
+def test_stacked_oa_batch_matches_reference_per_example(d, with_norm):
     batch, c = 3, 4
     for cross in sorted({0, d // 2, d - 1}):
         rng = np.random.default_rng(10 * d + cross)
-        params = at.attention_params(rng, c, d_k=2, heads=heads, zero_out=False, with_norm=with_norm)
+        params = at.attention_params(rng, c, d_k=2, zero_out=False, with_norm=with_norm)
         if with_norm:
             params.ln_gamma.data = rng.normal(size=c)
             params.ln_beta.data = rng.normal(size=c)
@@ -412,7 +396,10 @@ def test_stacked_oa_degenerate_resolution_has_finite_gradients():
     # at D=1 the only cross-line key is the masked overlap pixel
     rng = np.random.default_rng(13)
     batch, c = 2, 3
-    params = at.attention_params(rng, c, d_k=2, zero_out=False, requires_grad=True)
+    params = at.attention_params(rng, c, d_k=2, zero_out=False)
+    weights = [params.w_q, params.w_k, params.w_v, params.w_o]
+    for w in weights:
+        w.requires_grad = True
     x = Tensor(rng.normal(size=(batch * 3, c)), requires_grad=True)
 
     def loss(xx):
@@ -420,6 +407,6 @@ def test_stacked_oa_degenerate_resolution_has_finite_gradients():
         return ad.tsum(ad.mul(out, out))
 
     loss(x).backward()
-    for t in [x] + params.tensors():
+    for t in [x] + weights:
         assert t.grad is not None and np.all(np.isfinite(t.grad))
     assert ad.grad_check(loss, Tensor(x.data.copy())) < 1e-6

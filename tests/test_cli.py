@@ -63,6 +63,22 @@ def test_every_config_key_has_documented_default():
         assert SPEC[key][1].problem(cfg[key]) is None, key
 
 
+def test_spec_defaults_equal_the_library_defaults_they_feed():
+    # each default is written once in the library and once in SPEC; the CLI builds its sections from SPEC
+    import inspect
+
+    from trifield import diffusion as df
+    from trifield import training as tr
+
+    cfg = RunConfig()
+    assert cli._section(tr.FitConfig, cfg, "fit", seed=cfg["seed"]) == tr.FitConfig()
+    assert cli._section(tr.LossWeights, cfg, "fit") == tr.LossWeights()
+    assert cli._train_cfgs(cfg, cfg["diffusion.use_oa"]) == (df.DiffusionTrainConfig(), df.DenoiserConfig())
+    schedule = inspect.signature(df.make_schedule).parameters
+    for name in ("beta_start", "beta_end"):
+        assert cfg[f"diffusion.{name}"] == schedule[name].default, name
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     path = write_config(tmp_path / "bad.cfg", ["fit.iterations = 10", "fit.lambada = 1"])
     with pytest.raises(ConfigError, match="line 2.*fit.lambada"):
@@ -129,7 +145,7 @@ def test_diffusion_sample_cut_checkpoint_exits_1(tmp_path, capsys):
 
     cfgp = write_config(tmp_path / "d.cfg", TINY_DIFFUSION)
     whole = tmp_path / "whole.ckpt"
-    df.save_denoiser(str(whole), df.Denoiser(df.DenoiserConfig(resolution=8, channels=4, hidden=8)))
+    df.save_denoiser(str(whole), df.Denoiser(df.DenoiserConfig(resolution=8, channels=4, hidden=8, timesteps=12)))
     data = whole.read_bytes()
     cut = tmp_path / "cut.ckpt"
     for n in (41, 47, len(data) - 1):  # in the PRMS version/count, a name, the last payload
@@ -317,7 +333,7 @@ def test_diffusion_sample_mismatched_header_exits_1(tmp_path, capsys):
     from trifield import diffusion as df
 
     ckpt = tmp_path / "d.ckpt"
-    df.save_denoiser(str(ckpt), df.Denoiser(df.DenoiserConfig(resolution=8, channels=1, hidden=8)))
+    df.save_denoiser(str(ckpt), df.Denoiser(df.DenoiserConfig(resolution=8, channels=1, hidden=8, timesteps=12)))
     raw = bytearray(ckpt.read_bytes())
     raw[10:14] = struct.pack("<I", 3)  # channels 1 -> 3
     ckpt.write_bytes(bytes(raw))
@@ -334,7 +350,7 @@ def test_diffusion_train_checkpoint_of_other_shape_exits_1(tmp_path, capsys, fie
 
     sizes = {"resolution": 8, "channels": 4, field: have}
     ckpt = tmp_path / "other.ckpt"
-    df.save_denoiser(str(ckpt), df.Denoiser(df.DenoiserConfig(**sizes, hidden=8, d_model=8)))
+    df.save_denoiser(str(ckpt), df.Denoiser(df.DenoiserConfig(**sizes, hidden=8, d_model=8, timesteps=12)))
     out = tmp_path / "o"
     assert run_cli("diffusion", "train", "--config", write_config(tmp_path / "d.cfg", TINY_DIFFUSION),
                    "--checkpoint", str(ckpt), "--out", str(out)) == 1
@@ -342,6 +358,23 @@ def test_diffusion_train_checkpoint_of_other_shape_exits_1(tmp_path, capsys, fie
     assert err.startswith("checkpoint error: ")
     assert f"{field} {have}" in err and f"diffusion.grid_{field} {want}" in err
     assert not out.exists() or not os.listdir(out)
+
+
+@pytest.mark.parametrize("mode", ["train", "sample"])
+def test_diffusion_checkpoint_of_other_timesteps_exits_1(tmp_path, capsys, mode):
+    # a denoiser trained at 20 steps and sampled at 1000 exited 0, its samples blown up (consistency 89.7)
+    from trifield import diffusion as df
+
+    ckpt = tmp_path / "t12.ckpt"
+    df.save_denoiser(str(ckpt), df.Denoiser(df.DenoiserConfig(resolution=8, channels=4, hidden=8, d_model=8,
+                                                              timesteps=12)))
+    lines = [line for line in TINY_DIFFUSION if not line.startswith("diffusion.timesteps")]
+    cfgp = write_config(tmp_path / "d.cfg", lines + ["diffusion.timesteps = 1000"])
+    out = tmp_path / "o"
+    assert run_cli("diffusion", mode, "--config", cfgp, "--checkpoint", str(ckpt), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == "checkpoint error: denoiser timesteps 12 does not match diffusion.timesteps 1000\n"
+    assert not out.exists()
 
 
 class Reached(Exception):
@@ -422,8 +455,6 @@ def _inside(domain, raw):
     return domain.problem(value) is None
 
 
-# this sizes an allocation made before any work: fit builds every orbit camera before its first oracle view
-LARGE = {"fit.views": 10**4}
 # cases the hand-written lists checked beyond the generic ones
 EXTRA = {"fit.orbit_radius": [1.0], "scene.radius": [1.5], "eval.oracle_samples": [100],
          "diffusion.grid_resolution": [2, 4]}
@@ -443,7 +474,7 @@ def test_every_key_outside_its_domain_exits_2_before_any_work(run_before_work, k
     out = None if key == "out" else "o"
     for command in commands:  # the harness reaches work at all
         assert run_before_work(command, context + [f"{key} = {_text(default)}"], out=out)[0] is Reached, command
-    large = LARGE.get(key, 10**20 if isinstance(domain, Int) else 1e300)
+    large = 10**20 if isinstance(domain, Int) else 1e300
     for value in [0, -1, "nan", large, *_first_outside(domain), *EXTRA.get(key, [])]:
         raw = _text(value)
         inside = _inside(domain, raw)
@@ -505,6 +536,14 @@ def test_bad_fit_render_eval_values_exit_2_before_any_work(run_before_work, comm
     assert err.startswith(says)
 
 
+@pytest.mark.parametrize("size", [SPEC["render.size"][1].most + 1, 10**20])
+def test_render_size_above_render_size_domain_exits_2_before_any_work(run_before_work, size):
+    # 10**20 ended in numpy's "Maximum allowed size exceeded" traceback after --out was made
+    code, err, made = run_before_work("render", flags=["--size", str(size)])
+    assert code == 2 and not made
+    assert err == f"usage error: --size must be <= {SPEC['render.size'][1].most}, got {size}\n"
+
+
 def test_far_orbit_exits_2_before_any_work(run_before_work):
     # at 1e16 the r +- sqrt(3) sample bins collapsed in float64, and integrate_rays raised after --out was made
     code, err, made = run_before_work("fit", ["fit.orbit_radius = 1e16"])
@@ -545,7 +584,8 @@ def test_diffusion_flipped_resolution_byte_exits_1(tmp_path, capsys, mode):
     from trifield import diffusion as df
 
     ckpt = tmp_path / "d16.ckpt"
-    df.save_denoiser(str(ckpt), df.Denoiser(df.DenoiserConfig(resolution=16, channels=4, hidden=8, d_model=8)))
+    df.save_denoiser(str(ckpt), df.Denoiser(df.DenoiserConfig(resolution=16, channels=4, hidden=8, d_model=8,
+                                                              timesteps=12)))
     raw = bytearray(ckpt.read_bytes())
     raw[7] ^= 0xFF  # resolution 16 -> 65296; no parameter shape depends on it
     ckpt.write_bytes(bytes(raw))
