@@ -162,8 +162,9 @@ def _renderer_entries(rng):
 
     def render_loss_fn(x):
         bundle = rd.generate_rays(cam)
-        rgb, mask, depth = rd.render_rays(_with_plane(tri, x), heads, bundle.origins, bundle.directions,
-                                          bundle.t_near, bundle.t_far, 8)
+        ts = rd.sample_points_batch(bundle.t_near, bundle.t_far, len(bundle.origins), 8)
+        rgb, mask, depth = rd.render_rays(_with_plane(tri, x), heads, bundle.origins, bundle.directions, ts,
+                                          bundle.t_far)
         pred = rd.RenderOutput(rgb, mask, depth)
         gt = rd.RenderOutput(np.zeros((16, 3)), np.zeros(16), np.full(16, bundle.t_far))
         return tr.render_loss([pred], [gt])
@@ -468,7 +469,9 @@ def cmd_diffusion(args):
         if denoiser is None:
             return 1
         for field, key in (("resolution", "diffusion.grid_resolution"), ("channels", "diffusion.grid_channels"),
-                           ("timesteps", "diffusion.timesteps")):
+                           ("timesteps", "diffusion.timesteps"), ("hidden", "diffusion.hidden"),
+                           ("d_k", "diffusion.d_k"), ("d_model", "diffusion.d_model"),
+                           ("adapter_attention", "diffusion.use_oa")):
             have, want = getattr(denoiser.cfg, field), cfg[key]
             if have != want:
                 print(f"checkpoint error: denoiser {field} {have} does not match {key} {want}", file=sys.stderr)

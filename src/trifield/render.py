@@ -38,9 +38,10 @@ _OPENBLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
-# held while render_view pins BLAS, so that two concurrent frames cannot
-# restore each other's pinned count of 1
-_BLAS_PIN = threading.Lock()
+# held while a frame or a fit pins BLAS, so that two concurrent ones cannot
+# restore each other's pinned count of 1; reentrant, so that a fit's log
+# callback can render a frame
+_BLAS_PIN = threading.RLock()
 
 
 @dataclass
@@ -214,12 +215,18 @@ def integrate_rays(sigmas, colors, ts, t_far):
     return rgb, mask, depth
 
 
-def render_rays(tri, heads, origins, dirs, t_near, t_far, n, stratified=False, rng=None):
-    """Render a flat batch of rays -> (rgb (R,3), mask (R,), depth (R,)) Tensors."""
+def render_rays(tri, heads, origins, dirs, ts, t_far):
+    """Render a flat batch of rays at sample depths ts (R, n) -> (rgb (R,3), mask (R,), depth (R,)) Tensors.
+
+    The caller draws the depths (`sample_points_batch`), so rendering draws
+    nothing and a batch can be split into parts that render the same samples.
+    """
     origins = np.asarray(origins, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
-    r = origins.shape[0]
-    ts = sample_points_batch(t_near, t_far, r, n, stratified, rng)
+    ts = np.asarray(ts, dtype=np.float64)
+    if ts.ndim != 2 or ts.shape[0] != origins.shape[0]:
+        raise ad.ShapeError(f"render_rays: {origins.shape[0]} rays but sample depths of shape {ts.shape}")
+    r, n = ts.shape
     pts = (origins[:, None, :] + ts[..., None] * dirs[:, None, :]).reshape(r * n, 3)
     sigma, color = field_eval_batch(tri, heads, pts)
     return integrate_rays(reshape(sigma, (r, n)), reshape(color, (r, n, 3)), ts, t_far)
@@ -294,9 +301,8 @@ def render_view(tri, heads, cam, n):
 
     def chunk(lo):
         hi = min(lo + RENDER_CHUNK, total)
-        rgb, mask, depth = render_rays(
-            tri, heads, bundle.origins[lo:hi], bundle.directions[lo:hi], bundle.t_near, bundle.t_far, n,
-        )
+        ts = sample_points_batch(bundle.t_near, bundle.t_far, hi - lo, n)
+        rgb, mask, depth = render_rays(tri, heads, bundle.origins[lo:hi], bundle.directions[lo:hi], ts, bundle.t_far)
         img[lo:hi] = rgb.data
         msk[lo:hi] = mask.data
         dep[lo:hi] = depth.data

@@ -12,8 +12,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import add, mul, sub, tmean
-from .render import RenderOutput, default_bounds, generate_rays, init_field_heads, render_rays
+from .autodiff import Tensor, add, mul, sub, tmean
+from .render import (
+    FieldHeads, RenderOutput, _one_blas_thread, default_bounds, generate_rays, init_field_heads, render_rays,
+    sample_points_batch,
+)
 from .triplane import Triplane, random_triplane
 
 
@@ -136,6 +139,18 @@ def _restore(tensors, datas):
         t.data = d.copy()
 
 
+def _part_leaves(tri, heads):
+    """Gradient leaves on the parameters' own arrays: a batch part's tape, with no data copied."""
+
+    def leaf(t):
+        return Tensor(t.data, requires_grad=True)
+
+    def layers(pairs):
+        return [(leaf(w), leaf(b)) for w, b in pairs]
+
+    return Triplane(leaf(tri.tensor)), FieldHeads(layers(heads.s_layers), layers(heads.c_layers), heads.n_freqs)
+
+
 def fit_scene(views, cfg=None, weights=None, log=None):
     """Overfit triplane + heads to (Camera, RenderOutput) supervision views.
 
@@ -143,9 +158,18 @@ def fit_scene(views, cfg=None, weights=None, log=None):
     composite loss restricted to that batch is stepped with AdamW (separate
     learning rates for plane contents and heads). Returns the parameters with
     the lowest running validation loss, where validation is a fixed random
-    probe subset of supervision rays rendered deterministically. The planes
-    and heads require grad only while they train: the probe and the returned
-    fit build no tape.
+    probe subset of supervision rays rendered deterministically.
+
+    Each step's batch runs as two fixed parts, its first half (rounded down)
+    and the rest; a batch of one ray is one part. Each part renders on leaves
+    of its own (`_part_leaves`) with its loss scaled by its share of the
+    batch, and runs its backward. A parameter steps on part 0's gradient plus
+    part 1's, in that order. With BLAS pinned to one thread, part 1 runs on a
+    one-worker pool that lives for this call while the calling thread runs
+    part 0; with one usable CPU, or no OpenBLAS to pin, both run in the
+    calling thread, part 0 first. The rays, sample depths and arithmetic are
+    the same either way, so the fit does not depend on the worker count. The
+    parameters themselves never require grad: the probe builds no tape.
     """
     cfg = cfg or FitConfig()
     weights = weights or LossWeights()
@@ -153,11 +177,8 @@ def fit_scene(views, cfg=None, weights=None, log=None):
         raise ValueError(f"need at least 2 supervision views, got {len(views)}")
     rng = np.random.default_rng(cfg.seed)
 
-    tri = random_triplane(rng, cfg.grid_resolution, cfg.grid_channels, scale=0.05, requires_grad=True)
-    heads = init_field_heads(
-        rng, 3 * cfg.grid_channels, hidden=cfg.hidden, depth=cfg.mlp_depth,
-        n_freqs=cfg.n_freqs, requires_grad=True,
-    )
+    tri = random_triplane(rng, cfg.grid_resolution, cfg.grid_channels, scale=0.05)
+    heads = init_field_heads(rng, 3 * cfg.grid_channels, hidden=cfg.hidden, depth=cfg.mlp_depth, n_freqs=cfg.n_freqs)
 
     origins, dirs, gt_rgb, gt_mask, gt_depth = [], [], [], [], []
     bounds = [default_bounds(cam.position) for cam, _ in views]
@@ -178,51 +199,70 @@ def fit_scene(views, cfg=None, weights=None, log=None):
     total = origins.shape[0]
 
     probe = rng.choice(total, size=min(cfg.val_rays, total), replace=False)
+    probe_ts = sample_points_batch(t_near, t_far, len(probe), cfg.samples_per_ray)
     params = [tri.tensor] + heads.tensors()
     opt_planes = AdamW([tri.tensor], lr=cfg.lr_planes)
     opt_heads = AdamW(heads.tensors(), lr=cfg.lr_heads)
+    half = cfg.ray_batch // 2
+    parts = [(0, half), (half, cfg.ray_batch)] if half else [(0, cfg.ray_batch)]
 
-    def batch_loss(idx, stratified):
-        rgb, mask, depth = render_rays(
-            tri, heads, origins[idx], dirs[idx], t_near, t_far,
-            cfg.samples_per_ray, stratified=stratified, rng=rng,
-        )
+    def batch_loss(t, h, idx, ts):
+        rgb, mask, depth = render_rays(t, h, origins[idx], dirs[idx], ts, t_far)
         pred = RenderOutput(rgb, mask, depth)
         gt = RenderOutput(gt_rgb[idx], gt_mask[idx], gt_depth[idx])
         return render_loss([pred], [gt], weights)
 
+    def part_step(idx, ts):
+        """(loss scaled by the part's share of the batch, its parameter gradients or None if not finite)."""
+        t, h = _part_leaves(tri, heads)
+        loss = mul(batch_loss(t, h, idx, ts), len(idx) / cfg.ray_batch)
+        loss_val = float(loss.data)
+        if not np.isfinite(loss_val):
+            return loss_val, None
+        loss.backward()
+        return loss_val, [leaf.grad for leaf in [t.tensor] + h.tensors()]
+
+    # imported here, not at the top, as in render_view: a process that never
+    # fits need not load it
+    from concurrent.futures import ThreadPoolExecutor
+
     result = FitResult(tri, heads)
     best = _snapshot(params)
     try:
-        for step in range(1, cfg.iterations + 1):
-            idx = rng.integers(0, total, size=cfg.ray_batch)
-            loss = batch_loss(idx, cfg.stratified)
-            loss_val = float(loss.data)
-            if not np.isfinite(loss_val):
-                result.diverged = True
-                break
-            loss.backward()
-            opt_planes.step()
-            opt_heads.step()
-            opt_planes.zero_grad()
-            opt_heads.zero_grad()
-            result.history.append(loss_val)
-            result.steps_run = step
-            if step % cfg.val_every == 0 or step == cfg.iterations:
-                for p in params:  # the probe is forward-only: no tape
-                    p.requires_grad = False
-                val = float(batch_loss(probe, False).data)
-                for p in params:
-                    p.requires_grad = True
-                if np.isfinite(val) and val < result.best_val:
-                    result.best_val = val
-                    best = _snapshot(params)
-                if log is not None:
-                    log(step, loss_val, val)
+        # the pool starts its worker only on a first submit, and joins it on exit before BLAS is unpinned
+        with _one_blas_thread() as workers, ThreadPoolExecutor(1) as pool:
+            concurrent = workers > 1 and len(parts) > 1
+            for step in range(1, cfg.iterations + 1):
+                idx = rng.integers(0, total, size=cfg.ray_batch)
+                ts = sample_points_batch(t_near, t_far, cfg.ray_batch, cfg.samples_per_ray, cfg.stratified, rng)
+                split = [(idx[lo:hi], ts[lo:hi]) for lo, hi in parts]
+                if concurrent:
+                    second = pool.submit(part_step, *split[1])
+                    outs = [part_step(*split[0]), second.result()]
+                else:
+                    outs = [part_step(*part) for part in split]
+                loss_val = sum(val for val, _ in outs)
+                if not np.isfinite(loss_val):
+                    result.diverged = True
+                    break
+                for p, *grads in zip(params, *(g for _, g in outs)):
+                    p.grad = sum(grads[1:], grads[0])  # part 0 + part 1, in that order
+                opt_planes.step()
+                opt_heads.step()
+                opt_planes.zero_grad()
+                opt_heads.zero_grad()
+                result.history.append(loss_val)
+                result.steps_run = step
+                if step % cfg.val_every == 0 or step == cfg.iterations:
+                    val = float(batch_loss(tri, heads, probe, probe_ts).data)
+                    if np.isfinite(val) and val < result.best_val:
+                        result.best_val = val
+                        best = _snapshot(params)
+                    if log is not None:
+                        log(step, loss_val, val)
     finally:
-        # also on an exception: no parameter leaves still building a tape
+        # also on an exception: no parameter keeps a gradient
         for p in params:
-            p.requires_grad = False
             p.grad = None
 
     _restore(params, best)

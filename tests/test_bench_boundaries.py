@@ -39,7 +39,8 @@ def test_positional_arguments_the_tracer_reads(tracing):
     # stacked rows at args[0] and the resolution at args[2] of
     # stacked_orthogonal_attention; the checkpoint.load hook sizes the file
     # at args[0] of both checkpoint loaders; the workloads call oracle_render
-    # with (scene, cam, n_fine) positionally
+    # with (scene, cam, n_fine) positionally; render.rays counts the rays at
+    # args[2] of render_rays
     for modname, attr, position, name in (
         ("trifield.triplane", "sample_triplane", 1, "points"),
         ("trifield.attention", "stacked_orthogonal_attention", 0, "x"),
@@ -49,6 +50,7 @@ def test_positional_arguments_the_tracer_reads(tracing):
         ("trifield.scenes", "oracle_render", 0, "scene"),
         ("trifield.scenes", "oracle_render", 1, "cam"),
         ("trifield.scenes", "oracle_render", 2, "n_fine"),
+        ("trifield.render", "render_rays", 2, "origins"),
     ):
         fn = tracing._resolve(modname, attr)[2]
         assert list(inspect.signature(fn).parameters)[position] == name, f"{modname}.{attr}"
@@ -99,6 +101,36 @@ def test_tracer_reaches_render_view_chunks_on_worker_threads(tracing):
     for span, seen in threads.items():
         assert tracer.calls[span] == chunks, span
         assert seen and threading.get_ident() not in seen, span
+
+
+def test_tracer_reaches_fit_parts_on_the_worker_thread(tracing):
+    # fit_scene runs part 1 of each step's batch on a worker thread; training
+    # must look render_rays up at call time, so that the tracer's rebinding
+    # still sees both parts (EXPECTED["fit_cube"] of perfbench/run.py)
+    from trifield import render as rd
+    from trifield import scenes as sc
+    from trifield import training as tr
+    from trifield.render import RenderOutput
+
+    if rd._find_openblas() is None or len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("the fit runs its parts on one thread here")
+    cams = sc.camera_orbit(2, 3.0, 0.3, height=8, width=8)
+    views = [(cam, RenderOutput(np.zeros((8, 8, 3)), np.zeros((8, 8)), np.full((8, 8), 4.7))) for cam in cams]
+    cfg = tr.FitConfig(iterations=1, ray_batch=16, samples_per_ray=4, grid_resolution=4, grid_channels=2, hidden=4,
+                       val_every=10, val_rays=8)
+    tracer = tracing.Tracer()
+    spans = ("render.rays", "render.heads", "triplane.sample", "autodiff.backward")
+    threads = {span: [] for span in spans}
+    for span, seen in threads.items():
+        tracer.hooks[span].append(lambda args, result, seen=seen: seen.append(threading.get_ident()))
+    tracer.install()
+    try:
+        tr.fit_scene(views, cfg)
+    finally:
+        tracer.uninstall()
+    for span, seen in threads.items():
+        assert len(seen) >= 2, span
+        assert set(seen) - {threading.get_ident()}, span
 
 
 def test_triplane_lookup_is_a_traced_primitive(tracing):

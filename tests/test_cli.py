@@ -377,6 +377,27 @@ def test_diffusion_checkpoint_of_other_timesteps_exits_1(tmp_path, capsys, mode)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, have, key, want", [
+    ("hidden", 16, "diffusion.hidden", 8),
+    ("d_k", 2, "diffusion.d_k", 4),
+    ("d_model", 16, "diffusion.d_model", 8),
+    ("adapter_attention", False, "diffusion.use_oa", True),
+])
+def test_diffusion_checkpoint_of_other_architecture_exits_1(tmp_path, capsys, field, have, key, want):
+    # the loaded denoiser's own architecture used to win silently over the config's
+    from trifield import diffusion as df
+
+    arch = dict(resolution=8, channels=4, hidden=8, d_k=4, d_model=8, timesteps=12, adapter_attention=True)
+    arch[field] = have
+    ckpt = tmp_path / "other.ckpt"
+    df.save_denoiser(str(ckpt), df.Denoiser(df.DenoiserConfig(**arch)))
+    out = tmp_path / "o"
+    assert run_cli("diffusion", "sample", "--config", write_config(tmp_path / "d.cfg", TINY_DIFFUSION),
+                   "--checkpoint", str(ckpt), "--out", str(out)) == 1
+    assert capsys.readouterr().err == f"checkpoint error: denoiser {field} {have} does not match {key} {want}\n"
+    assert not out.exists()
+
+
 class Reached(Exception):
     """A work function was called: every check before it had passed."""
 

@@ -134,6 +134,15 @@ def test_integrate_rejects_bad_inputs():
         rd.integrate_rays(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4, 3))), np.zeros((2, 3)), 4.0)
 
 
+def test_render_rays_rejects_misaligned_sample_depths():
+    rng = np.random.default_rng(2)
+    tri, heads = tp.random_triplane(rng, 4, 2), rd.init_field_heads(rng, 6, hidden=4)
+    bundle = rd.generate_rays(make_camera(2, 2))
+    for ts in (np.full((3, 4), 2.0), np.full(4, 2.0), np.full((4, 2, 2), 2.0)):
+        with pytest.raises(ad.ShapeError):
+            rd.render_rays(tri, heads, bundle.origins, bundle.directions, ts, bundle.t_far)
+
+
 def slab_mask(n):
     # constant sigma = 2 over the chord [1.43, 2.43] inside bounds [0.1, 3.9]
     o = np.array([[-1.93, 0.0, 0.0]])
@@ -203,8 +212,8 @@ def test_render_view_deterministic():
     # chunking must not change pixel math: 289 rays take two chunks, render_rays one call
     assert cam.height * cam.width > rd.RENDER_CHUNK
     bundle = rd.generate_rays(cam)
-    rgb, mask, depth = rd.render_rays(tri, heads, bundle.origins, bundle.directions,
-                                      bundle.t_near, bundle.t_far, 24)
+    ts = rd.sample_points_batch(bundle.t_near, bundle.t_far, len(bundle.origins), 24)
+    rgb, mask, depth = rd.render_rays(tri, heads, bundle.origins, bundle.directions, ts, bundle.t_far)
     for got, want in ((a.image, rgb.data), (a.mask, mask.data), (a.depth, depth.data)):
         assert np.abs(got.reshape(want.shape) - want).max() < 1e-12
 
@@ -212,9 +221,11 @@ def test_render_view_deterministic():
 def _serial_frame(tri, heads, cam, n):
     """render_view's frame from a serial loop of render_rays over RENDER_CHUNK slices."""
     bundle = rd.generate_rays(cam)
-    parts = [rd.render_rays(tri, heads, bundle.origins[lo:lo + rd.RENDER_CHUNK],
-                            bundle.directions[lo:lo + rd.RENDER_CHUNK], bundle.t_near, bundle.t_far, n)
-             for lo in range(0, len(bundle.origins), rd.RENDER_CHUNK)]
+    parts = []
+    for lo in range(0, len(bundle.origins), rd.RENDER_CHUNK):
+        origins, dirs = bundle.origins[lo:lo + rd.RENDER_CHUNK], bundle.directions[lo:lo + rd.RENDER_CHUNK]
+        ts = rd.sample_points_batch(bundle.t_near, bundle.t_far, len(origins), n)
+        parts.append(rd.render_rays(tri, heads, origins, dirs, ts, bundle.t_far))
     h, w = bundle.shape
     return tuple(np.concatenate([part[i].data for part in parts]).reshape(shape)
                  for i, shape in enumerate(((h, w, 3), (h, w), (h, w))))
@@ -389,8 +400,8 @@ def test_render_grad_check_through_small_view():
 
     def f(x):
         t2 = tp.Triplane(ad.concat([ad.reshape(x, (1, d, d, c)), ad.narrow(tri.tensor, 0, 1, 2)]))
-        rgb, mask, depth = rd.render_rays(t2, heads, bundle.origins, bundle.directions,
-                                          bundle.t_near, bundle.t_far, 8)
+        ts = rd.sample_points_batch(bundle.t_near, bundle.t_far, len(bundle.origins), 8)
+        rgb, mask, depth = rd.render_rays(t2, heads, bundle.origins, bundle.directions, ts, bundle.t_far)
         return ad.tmean(rgb)
 
     err = ad.grad_check(f, Tensor(tri.tensor.data[0].copy(), requires_grad=True))

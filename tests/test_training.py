@@ -1,8 +1,13 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
 from trifield import autodiff as ad
+from trifield import render as rd
 from trifield import scenes as sc
+from trifield import triplane as tp
 from trifield import training as tr
 from trifield.autodiff import Tensor
 from trifield.render import RenderOutput
@@ -169,13 +174,18 @@ def test_psnr_basics():
     assert tr.psnr(img, img + 0.1) == pytest.approx(20.0, abs=1e-9)
 
 
-def test_fit_halts_on_divergence_with_finite_checkpoint():
+def test_fit_halts_on_divergence_with_finite_checkpoint(monkeypatch):
     views = vacuum_views()
     poisoned = [(cam, RenderOutput(np.full_like(gt.image, np.nan), gt.mask, gt.depth))
                 for cam, gt in views]
+    stepped, walked = [], []
+    step, backward = tr.AdamW.step, ad.Tensor.backward
+    monkeypatch.setattr(tr.AdamW, "step", lambda opt: stepped.append(opt) or step(opt))
+    monkeypatch.setattr(ad.Tensor, "backward", lambda t: walked.append(t) or backward(t))
     result = tr.fit_scene(poisoned, small_cfg(iterations=50))
     assert result.diverged
-    assert result.steps_run < 50
+    # each part stops before its backward, and the step before the optimizer
+    assert result.steps_run == 0 and result.history == [] and stepped == [] and walked == []
     for p in [result.triplane.tensor] + result.heads.tensors():
         assert np.all(np.isfinite(p.data))
 
@@ -197,3 +207,101 @@ def test_fit_clears_grad_flags_when_an_exception_escapes(monkeypatch):
     assert seen
     for p in seen:
         assert not p.requires_grad and p.grad is None
+
+
+def _fit_params(result):
+    return [result.triplane.tensor.data] + [t.data for t in result.heads.tensors()]
+
+
+def test_fit_without_openblas_matches_the_two_worker_fit(monkeypatch):
+    # one worker runs both batch parts in the calling thread, part 0 first
+    views = vacuum_views()
+    pooled = tr.fit_scene(views, small_cfg())
+    monkeypatch.setattr(rd, "_find_openblas", lambda: None)
+    serial = tr.fit_scene(views, small_cfg())
+    assert serial.history == pooled.history
+    for a, b in zip(_fit_params(serial), _fit_params(pooled)):
+        assert np.array_equal(a, b)
+
+
+class _FakeBlas:
+    """A BLAS thread count that fit_scene pins and restores."""
+
+    def __init__(self, threads):
+        self.threads = threads
+
+    def set(self, k):
+        self.threads = k
+
+    def get(self):
+        return self.threads
+
+
+def _watch_parts(monkeypatch, fail_rays=None):
+    """Record (BLAS count, thread, rays) of every render in a fit; raise on a part of `fail_rays` rays."""
+    blas = _FakeBlas(3)
+    monkeypatch.setattr(rd, "_find_openblas", lambda: (blas.set, blas.get))
+    calls = []
+    render_rays = tr.render_rays
+
+    def watched(tri, heads, origins, *args):
+        calls.append((blas.get(), threading.get_ident(), len(origins)))
+        if len(origins) == fail_rays:
+            raise RuntimeError("part failed")
+        return render_rays(tri, heads, origins, *args)
+
+    monkeypatch.setattr(tr, "render_rays", watched)
+    return blas, calls
+
+
+def test_fit_pins_blas_and_leaves_no_thread(monkeypatch):
+    before = set(threading.enumerate())
+    blas, calls = _watch_parts(monkeypatch)
+    result = tr.fit_scene(vacuum_views(), small_cfg(iterations=6, val_every=3))
+    assert result.steps_run == 6 and np.all(np.isfinite(result.history))
+    assert blas.threads == 3
+    assert {count for count, _, _ in calls} == {1}
+    # two 48-ray parts a step, then the 128-ray probe at steps 3 and 6
+    assert [rays for _, _, rays in calls] == ([48, 48] * 3 + [128]) * 2
+    if len(os.sched_getaffinity(0)) > 1:
+        assert {ident for _, ident, _ in calls} - {threading.get_ident()}
+    assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("fail_rays", [2, 3])  # part 0 (calling thread) and part 1 of a 5-ray batch
+def test_fit_part_error_reaches_caller_and_restores_blas(monkeypatch, fail_rays):
+    before = set(threading.enumerate())
+    blas, calls = _watch_parts(monkeypatch, fail_rays)
+    with pytest.raises(RuntimeError, match="part failed"):
+        tr.fit_scene(vacuum_views(), small_cfg(ray_batch=5))
+    assert blas.threads == 3
+    assert {count for count, _, _ in calls} == {1}
+    assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("ray_batch, sizes", [(1, [1]), (5, [2, 3])])
+def test_fit_splits_small_and_odd_batches(monkeypatch, ray_batch, sizes):
+    _, calls = _watch_parts(monkeypatch)
+    result = tr.fit_scene(vacuum_views(), small_cfg(iterations=4, ray_batch=ray_batch, val_every=10))
+    assert result.steps_run == 4 and np.all(np.isfinite(result.history))
+    assert sorted(rays for _, _, rays in calls[:-1]) == sorted(sizes * 4)  # the last call is the probe
+
+
+def test_fit_log_callback_can_render_a_view():
+    # the fit holds the BLAS pin while it calls `log`, and render_view takes it
+    # again; run in a daemon thread, so that a deadlock fails instead of hanging
+    rng = np.random.default_rng(0)
+    tri = tp.random_triplane(rng, 4, 2)
+    heads = rd.init_field_heads(rng, 6, hidden=4)
+    cam = sc.camera_orbit(2, 3.0, 0.3, height=4, width=4)[0]
+    frames, results = [], []
+
+    def log(step, loss, val):
+        frames.append(rd.render_view(tri, heads, cam, 4))
+
+    fit = threading.Thread(target=lambda: results.append(tr.fit_scene(vacuum_views(), small_cfg(
+        iterations=2, val_every=1), log=log)), daemon=True)
+    fit.start()
+    fit.join(timeout=60)
+    assert not fit.is_alive()
+    assert results[0].steps_run == 2 and len(frames) == 2
