@@ -4,7 +4,7 @@ The denoiser is a small per-plane conv encoder/decoder with a timestep
 embedding, text cross-attention in the bottleneck, and optional zero-initialized
 adapter blocks (one residual block plus one cross-plane attention block per
 level) that can be trained with the backbone frozen. Noise prediction is
-trained with the epsilon objective per plane or summed over the triplane.
+trained with the epsilon objective summed over the triplane's planes.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .autodiff import Tensor, add, affine, broadcast_to, concat, conv3x3, gather
 from .attention import VOCABULARY, AttentionParams, cross_attention, stacked_orthogonal_attention
 from .checkpoint import CheckpointError, Reader, write_block, write_named_arrays
 from .training import AdamW
-from .triplane import PLANE_IDS, Triplane, plane_marginal, stack_planes, unstack_planes
+from .triplane import Triplane, plane_marginal, stack_planes, unstack_planes
 
 DENOISER_MAGIC = b"DNZR"
 PARAMS_MAGIC = b"PRMS"
@@ -233,11 +233,6 @@ class Denoiser:
         h = self._resblock(h, "rb2", temb, d)
         return self._conv_named(relu(h), "head", d)
 
-    def forward(self, x_t, t, tokens):
-        """Predict the injected noise for one noised triplane at timestep t."""
-        out = self._forward_stacked(stack_planes([x_t]), [t], np.asarray(tokens, dtype=np.int64)[None, :], 1)
-        return unstack_planes(out, self.cfg.resolution, self.cfg.channels)[0]
-
 
 def with_adapters(denoiser, seed=0):
     """Copy of a backbone-only denoiser with fresh zero-initialized adapters."""
@@ -252,17 +247,15 @@ def with_adapters(denoiser, seed=0):
 # objectives, training, sampling
 # ---------------------------------------------------------------------------
 
-def epsilon_loss(denoiser, x0, tokens, t, eps, sched, plane=None):
-    """Noise-prediction MSE; one plane when `plane` names it, else summed over all three."""
-    x_t = q_sample(x0, t, eps, sched)
-    out = denoiser.forward(x_t, t, tokens)
-    losses = []
-    for pred, target in zip(out.planes, eps.planes):
-        diff = ad.sub(pred, Tensor(target.data))
-        losses.append(tmean(mul(diff, diff)))
-    if plane is not None:
-        return losses[PLANE_IDS.index(plane)]
-    return add(add(losses[0], losses[1]), losses[2])
+def epsilon_loss(denoiser, x0s, token_matrix, ts, eps, sched):
+    """Noise-prediction MSE of a batch: each example's sum of its three plane MSEs, averaged over the batch.
+
+    Example k is x0s[k] noised with eps[k] to timestep ts[k], captioned by row k of token_matrix.
+    """
+    x_t = stack_planes([q_sample(x0, t, e, sched) for x0, t, e in zip(x0s, ts, eps)])
+    diff = ad.sub(denoiser._forward_stacked(x_t, ts, token_matrix, len(ts)), stack_planes(eps))
+    # planes are co-sized, so the batch mean of sum-of-plane-means is 3x the mean over all entries
+    return mul(tmean(mul(diff, diff)), 3.0)
 
 
 @dataclass
@@ -323,20 +316,12 @@ def train_denoiser(dataset, cfg, model_cfg=None, denoiser=None):
     try:
         for step in range(1, cfg.steps + 1):
             idx = rng.integers(0, len(dataset), size=cfg.batch)
-            ts, xts, eps_blocks, toks = [], [], [], []
+            x0s, ts, eps = [], [], []
             for i in idx:
-                ex = dataset[i]
-                t = int(rng.integers(1, cfg.timesteps + 1))
-                eps = noise_like(ex.x0, rng)
-                ts.append(t)
-                xts.append(q_sample(ex.x0, t, eps, sched))
-                eps_blocks.append(eps)
-                toks.append(ex.tokens)
-            out = denoiser._forward_stacked(stack_planes(xts), ts, np.stack(toks), cfg.batch)
-            diff = ad.sub(out, stack_planes(eps_blocks))
-            # equals the batch mean of per-example triplane losses: planes are
-            # co-sized, so sum-of-plane-means is 3x the mean over all entries
-            loss = mul(tmean(mul(diff, diff)), 3.0)
+                x0s.append(dataset[i].x0)
+                ts.append(int(rng.integers(1, cfg.timesteps + 1)))
+                eps.append(noise_like(dataset[i].x0, rng))
+            loss = epsilon_loss(denoiser, x0s, np.stack([dataset[i].tokens for i in idx]), ts, eps, sched)
             val = float(loss.data)
             if not np.isfinite(val):
                 for p, s in zip(trainable, snapshot):

@@ -38,9 +38,9 @@ _OPENBLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
-# held while a frame or a fit pins BLAS, so that two concurrent ones cannot
-# restore each other's pinned count of 1; reentrant, so that a fit's log
-# callback can render a frame
+# held for an on_cores block, so that two concurrent blocks cannot restore
+# each other's pinned count of 1; reentrant, so that a fit's log callback can
+# render a frame
 _BLAS_PIN = threading.RLock()
 
 
@@ -141,21 +141,17 @@ class FieldHeads:
         return [t for w, b in self.s_layers + self.c_layers for t in (w, b)]
 
 
-def init_field_heads(rng, feat_dim, hidden=32, depth=2, n_freqs=0, density_bias=-1.0, requires_grad=False):
+def init_field_heads(rng, feat_dim, hidden=32, depth=2, n_freqs=0, density_bias=-1.0):
     in_dim = 3 * (1 + 2 * n_freqs) + feat_dim
 
     def head(out_dim, out_bias):
         layers, last = [], in_dim
         for _ in range(depth - 1):
-            layers.append((
-                Tensor(rng.normal(scale=np.sqrt(2.0 / last), size=(last, hidden)), requires_grad=requires_grad),
-                Tensor(np.zeros(hidden), requires_grad=requires_grad),
-            ))
+            layers.append((Tensor(rng.normal(scale=np.sqrt(2.0 / last), size=(last, hidden))),
+                           Tensor(np.zeros(hidden))))
             last = hidden
-        layers.append((
-            Tensor(rng.normal(scale=np.sqrt(1.0 / last), size=(last, out_dim)), requires_grad=requires_grad),
-            Tensor(np.full(out_dim, out_bias), requires_grad=requires_grad),
-        ))
+        layers.append((Tensor(rng.normal(scale=np.sqrt(1.0 / last), size=(last, out_dim))),
+                       Tensor(np.full(out_dim, out_bias))))
         return layers
 
     return FieldHeads(s_layers=head(1, density_bias), c_layers=head(3, 0.0), n_freqs=n_freqs)
@@ -263,23 +259,59 @@ def _find_openblas():
 
 
 @contextmanager
-def _one_blas_thread():
-    """Pin OpenBLAS to one thread for the block and yield its worker count.
+def on_cores():
+    """Run items on every usable core, with OpenBLAS pinned to one thread, for the block.
 
-    The workers are the usable CPUs. With no OpenBLAS found BLAS cannot be
-    pinned, and its own threads would compete with the workers, so the block
-    gets one worker. The caller's thread count is restored on every exit.
+    Yields `run(fn, items)`, which returns `[fn(item) for item in items]`. The
+    calling thread takes item 0 and each thread of a pool of workers - 1, which
+    lives for the block, the next one; then each takes the next untaken item
+    whenever it is free, until none is left. The workers are the usable CPUs.
+    With no OpenBLAS found BLAS cannot be pinned, and its own threads would
+    compete with the workers, so there is one worker: the calling thread runs
+    every item and no thread starts. An error in an item reaches the caller
+    once the items already running end; no item starts after it. The caller's
+    BLAS thread count is restored on every exit.
     """
+    # imported here, not at the top: it pulls in logging and queue, which a
+    # process that never renders or fits (sampling) need not load
+    from concurrent.futures import ThreadPoolExecutor
+
     blas = _find_openblas()
-    if blas is None:
-        yield 1
-        return
-    set_threads, get_threads = blas
+    workers = 1 if blas is None else len(os.sched_getaffinity(0))
+    set_threads, get_threads = blas or (lambda k: None, lambda: 1)
+
+    def run(fn, items):
+        out = [None] * len(items)
+        untaken = iter(range(len(items)))  # next() on it is one call under the GIL
+        failed = threading.Event()
+
+        def take(i):
+            try:
+                while i is not None and not failed.is_set():
+                    out[i] = fn(items[i])
+                    i = next(untaken, None)
+            except BaseException:
+                failed.set()
+                raise
+
+        first = next(untaken, None)
+        helpers = [pool.submit(take, next(untaken, None)) for _ in range(min(workers, len(items)) - 1)]
+        try:
+            take(first)
+        finally:
+            errors = [h.exception() for h in helpers]  # waits for every helper
+        for error in errors:
+            if error is not None:
+                raise error
+        return out
+
     with _BLAS_PIN:
         before = get_threads()
         set_threads(1)
         try:
-            yield len(os.sched_getaffinity(0))
+            # a pool thread starts only on a submit, and `run` submits workers - 1 takers
+            with ThreadPoolExecutor(max(workers - 1, 1)) as pool:
+                yield run
         finally:
             set_threads(before)
 
@@ -287,10 +319,9 @@ def _one_blas_thread():
 def render_view(tri, heads, cam, n):
     """Deterministic full-frame render, n bin-midpoint samples per ray, RENDER_CHUNK rays at a time.
 
-    The chunks run on a thread pool that lives for this call, one worker per
-    usable CPU, with BLAS pinned to one thread while it runs. Each chunk is
-    one render_rays call that writes only its own rows of the frame, so the
-    frame does not depend on the worker count.
+    The chunks run `on_cores`. Each chunk is one render_rays call that writes
+    only its own rows of the frame, so the frame does not depend on which
+    thread runs it.
     """
     bundle = generate_rays(cam)
     h, w = bundle.shape
@@ -307,15 +338,6 @@ def render_view(tri, heads, cam, n):
         msk[lo:hi] = mask.data
         dep[lo:hi] = depth.data
 
-    # imported here, not at the top: it pulls in logging and queue, and a
-    # process that never renders (training, sampling) need not load them
-    from concurrent.futures import ThreadPoolExecutor
-
-    with _one_blas_thread() as workers:
-        pool = ThreadPoolExecutor(workers)
-        try:
-            for _ in pool.map(chunk, range(0, total, RENDER_CHUNK)):
-                pass
-        finally:
-            pool.shutdown(cancel_futures=True)
+    with on_cores() as run:
+        run(chunk, range(0, total, RENDER_CHUNK))
     return RenderOutput(img.reshape(h, w, 3), msk.reshape(h, w), dep.reshape(h, w))

@@ -14,7 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, add, mul, sub, tmean
 from .render import (
-    FieldHeads, RenderOutput, _one_blas_thread, default_bounds, generate_rays, init_field_heads, render_rays,
+    FieldHeads, RenderOutput, default_bounds, generate_rays, init_field_heads, on_cores, render_rays,
     sample_points_batch,
 )
 from .triplane import Triplane, random_triplane
@@ -163,13 +163,10 @@ def fit_scene(views, cfg=None, weights=None, log=None):
     Each step's batch runs as two fixed parts, its first half (rounded down)
     and the rest; a batch of one ray is one part. Each part renders on leaves
     of its own (`_part_leaves`) with its loss scaled by its share of the
-    batch, and runs its backward. A parameter steps on part 0's gradient plus
-    part 1's, in that order. With BLAS pinned to one thread, part 1 runs on a
-    one-worker pool that lives for this call while the calling thread runs
-    part 0; with one usable CPU, or no OpenBLAS to pin, both run in the
-    calling thread, part 0 first. The rays, sample depths and arithmetic are
-    the same either way, so the fit does not depend on the worker count. The
-    parameters themselves never require grad: the probe builds no tape.
+    batch, and runs its backward; the parts run `on_cores`. A parameter steps
+    on part 0's gradient plus part 1's, in that order, so the fit does not
+    depend on which thread runs a part. The parameters themselves never
+    require grad: the probe builds no tape.
     """
     cfg = cfg or FitConfig()
     weights = weights or LossWeights()
@@ -212,8 +209,9 @@ def fit_scene(views, cfg=None, weights=None, log=None):
         gt = RenderOutput(gt_rgb[idx], gt_mask[idx], gt_depth[idx])
         return render_loss([pred], [gt], weights)
 
-    def part_step(idx, ts):
+    def part_step(part):
         """(loss scaled by the part's share of the batch, its parameter gradients or None if not finite)."""
+        idx, ts = part
         t, h = _part_leaves(tri, heads)
         loss = mul(batch_loss(t, h, idx, ts), len(idx) / cfg.ray_batch)
         loss_val = float(loss.data)
@@ -222,25 +220,14 @@ def fit_scene(views, cfg=None, weights=None, log=None):
         loss.backward()
         return loss_val, [leaf.grad for leaf in [t.tensor] + h.tensors()]
 
-    # imported here, not at the top, as in render_view: a process that never
-    # fits need not load it
-    from concurrent.futures import ThreadPoolExecutor
-
     result = FitResult(tri, heads)
     best = _snapshot(params)
     try:
-        # the pool starts its worker only on a first submit, and joins it on exit before BLAS is unpinned
-        with _one_blas_thread() as workers, ThreadPoolExecutor(1) as pool:
-            concurrent = workers > 1 and len(parts) > 1
+        with on_cores() as run:
             for step in range(1, cfg.iterations + 1):
                 idx = rng.integers(0, total, size=cfg.ray_batch)
                 ts = sample_points_batch(t_near, t_far, cfg.ray_batch, cfg.samples_per_ray, cfg.stratified, rng)
-                split = [(idx[lo:hi], ts[lo:hi]) for lo, hi in parts]
-                if concurrent:
-                    second = pool.submit(part_step, *split[1])
-                    outs = [part_step(*split[0]), second.result()]
-                else:
-                    outs = [part_step(*part) for part in split]
+                outs = run(part_step, [(idx[lo:hi], ts[lo:hi]) for lo, hi in parts])
                 loss_val = sum(val for val, _ in outs)
                 if not np.isfinite(loss_val):
                     result.diverged = True

@@ -63,8 +63,8 @@ class Triplane:
         return tuple(reshape(narrow(self.tensor, 0, i, 1), self.tensor.data.shape[1:]) for i in range(3))
 
 
-def random_triplane(rng, d, c, scale=0.1, requires_grad=False):
-    return Triplane(Tensor(rng.normal(scale=scale, size=(3, d, d, c)), requires_grad=requires_grad))
+def random_triplane(rng, d, c, scale=0.1):
+    return Triplane(Tensor(rng.normal(scale=scale, size=(3, d, d, c))))
 
 
 def stack_planes(tris):

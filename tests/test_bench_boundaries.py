@@ -76,9 +76,9 @@ def test_one_oracle_render_call_per_view(monkeypatch):
 
 
 def test_tracer_reaches_render_view_chunks_on_worker_threads(tracing):
-    # render_view runs its chunks on worker threads; its chunk function must
-    # look render_rays up at call time, so the tracer's rebinding still sees
-    # every chunk, and the heads and the lookup inside it
+    # render_view runs its chunks on the calling thread and on pool threads; its
+    # chunk function must look render_rays up at call time, so the tracer's
+    # rebinding still sees every chunk, and the heads and the lookup inside it
     from trifield import render as rd
     from trifield import scenes as sc
 
@@ -100,7 +100,9 @@ def test_tracer_reaches_render_view_chunks_on_worker_threads(tracing):
     assert tracer.calls["render.view"] == 1
     for span, seen in threads.items():
         assert tracer.calls[span] == chunks, span
-        assert seen and threading.get_ident() not in seen, span
+        assert threading.get_ident() in seen, span  # the calling thread renders chunk 0
+        if rd._find_openblas() is not None and len(os.sched_getaffinity(0)) > 1:
+            assert len(seen) > 1, span
 
 
 def test_tracer_reaches_fit_parts_on_the_worker_thread(tracing):
@@ -139,7 +141,8 @@ def test_triplane_lookup_is_a_traced_primitive(tracing):
     prims = {name for name, fn in vars(tp).items() if callable(fn) and tracing._is_primitive(fn, tp.__name__)}
     assert "triplane_lookup" in prims
     bwd_codes = [code for code in tp.triplane_lookup.__code__.co_consts if getattr(code, "co_name", None) == "bwd"]
-    tri = tp.random_triplane(np.random.default_rng(0), 3, 2, requires_grad=True)
+    tri = tp.random_triplane(np.random.default_rng(0), 3, 2)
+    tri.tensor.requires_grad = True
     out = tp.sample_triplane(tri, np.zeros((4, 3)))
     assert out._backward.__code__ in bwd_codes
 
@@ -155,7 +158,9 @@ def test_mlp_is_a_traced_primitive(tracing):
     bwd_codes = [code for code in ad.mlp.__code__.co_consts if getattr(code, "co_name", None) == "bwd"]
     rng = np.random.default_rng(0)
     tri = tp.random_triplane(rng, 3, 2)
-    heads = rd.init_field_heads(rng, 6, hidden=4, depth=2, requires_grad=True)
+    heads = rd.init_field_heads(rng, 6, hidden=4, depth=2)
+    for t in heads.tensors():
+        t.requires_grad = True
     sigma, color = rd.field_eval_batch(tri, heads, np.zeros((4, 3)))
     nodes = [node for out in (sigma, color) for node in ad.topo_order(out) if node._op == "mlp"]
     assert len(nodes) == 2

@@ -1,6 +1,8 @@
 import os
+import subprocess
+import sys
 import threading
-from concurrent import futures
+import time
 
 import numpy as np
 import pytest
@@ -244,11 +246,11 @@ def _pool_model():
 
 
 class _FakeBlas:
-    """A BLAS thread count that render_view pins and restores."""
+    """A BLAS thread count that `on_cores` pins and restores."""
 
     def __init__(self, threads):
         self.threads = threads
-        self.seen = []  # the count each chunk ran under
+        self.seen = []  # the count each render_rays call ran under
 
     def set(self, k):
         self.threads = k
@@ -270,16 +272,17 @@ def _with_fake_blas(monkeypatch, threads=3):
     return blas
 
 
-def _recorded_pools(monkeypatch):
-    workers = []
+def _chunk_threads(monkeypatch):
+    """The thread of every render_rays call render_view makes."""
+    threads = []
+    render_rays = rd.render_rays
 
-    class Recording(futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-            super().__init__(max_workers)
+    def recorded(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return render_rays(*args, **kwargs)
 
-    monkeypatch.setattr(futures, "ThreadPoolExecutor", Recording)
-    return workers
+    monkeypatch.setattr(rd, "render_rays", recorded)
+    return threads
 
 
 # 17x17 = 289 rays ends in a 33-ray chunk; 20x33 = 660 rays in a 20-ray one
@@ -289,10 +292,12 @@ def test_render_view_pool_matches_serial_chunks(monkeypatch, n, height, width):
     tri, heads = _pool_model()
     cam = make_camera(height, width, fov=1.2)
     assert (height * width) % rd.RENDER_CHUNK
-    workers = _recorded_pools(monkeypatch)
+    threads = _chunk_threads(monkeypatch)
     out = rd.render_view(tri, heads, cam, n)
     _assert_frame(out, _serial_frame(tri, heads, cam, n))
-    assert workers == [len(os.sched_getaffinity(0)) if rd._find_openblas() is not None else 1]
+    # the calling thread renders chunks too, and workers - 1 pool threads help it
+    workers = len(os.sched_getaffinity(0)) if rd._find_openblas() is not None else 1
+    assert threading.get_ident() in threads and len(set(threads)) <= workers
 
 
 def test_render_view_without_openblas_runs_one_worker(monkeypatch):
@@ -300,19 +305,9 @@ def test_render_view_without_openblas_runs_one_worker(monkeypatch):
     cam = make_camera(17, 17, fov=1.2)
     want = _serial_frame(tri, heads, cam, 24)
     monkeypatch.setattr(rd, "_find_openblas", lambda: None)
-    workers = _recorded_pools(monkeypatch)
+    threads = _chunk_threads(monkeypatch)
     _assert_frame(rd.render_view(tri, heads, cam, 24), want)
-    assert workers == [1]
-
-
-def test_render_view_pins_blas_and_restores_it(monkeypatch):
-    tri, heads = _pool_model()
-    cam = make_camera(17, 17, fov=1.2)
-    want = _serial_frame(tri, heads, cam, 24)
-    blas = _with_fake_blas(monkeypatch)
-    _assert_frame(rd.render_view(tri, heads, cam, 24), want)
-    assert blas.seen == [1, 1, 1]
-    assert blas.threads == 3
+    assert threads == [threading.get_ident()] * 3
 
 
 def test_render_view_restores_the_loaded_openblas():
@@ -324,27 +319,6 @@ def test_render_view_restores_the_loaded_openblas():
     before = get_threads()
     rd.render_view(tri, heads, make_camera(17, 17, fov=1.2), 8)
     assert get_threads() == before
-
-
-def test_render_view_chunk_error_reaches_caller_and_restores_blas(monkeypatch):
-    tri, heads = _pool_model()
-    cam = make_camera(17, 17, fov=1.2)
-    blas = _with_fake_blas(monkeypatch)
-    render_rays = rd.render_rays
-
-    def short_chunk_fails(tri, heads, origins, *args):
-        if len(origins) < rd.RENDER_CHUNK:
-            raise RuntimeError("chunk failed")
-        return render_rays(tri, heads, origins, *args)
-
-    monkeypatch.setattr(rd, "render_rays", short_chunk_fails)
-    with pytest.raises(RuntimeError, match="chunk failed"):
-        rd.render_view(tri, heads, cam, 24)
-    assert blas.threads == 3
-    # the pin is released: the next frame renders
-    monkeypatch.setattr(rd, "render_rays", render_rays)
-    _assert_frame(rd.render_view(tri, heads, cam, 24), _serial_frame(tri, heads, cam, 24))
-    assert blas.threads == 3
 
 
 def test_concurrent_render_views_keep_frames_and_blas_count(monkeypatch):
@@ -369,6 +343,113 @@ def test_concurrent_render_views_keep_frames_and_blas_count(monkeypatch):
         _assert_frame(out, ref)
     assert blas.threads == 3
     assert set(blas.seen) == {1}
+
+
+def _cores(monkeypatch, n, threads=3):
+    """`on_cores` with a fake OpenBLAS at `threads` threads and n usable CPUs."""
+    blas = _FakeBlas(threads)
+    monkeypatch.setattr(rd, "_find_openblas", lambda: (blas.set, blas.get))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    return blas
+
+
+def _slow_square(i):
+    time.sleep(0.002 * (i % 3))  # items finish out of order
+    return i * i, threading.get_ident()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_on_cores_returns_results_in_item_order(monkeypatch, cpus):
+    _cores(monkeypatch, cpus)
+    with rd.on_cores() as run:
+        out = run(_slow_square, range(11))
+        assert run(_slow_square, []) == []
+    assert [sq for sq, _ in out] == [i * i for i in range(11)]
+    assert out[0][1] == threading.get_ident()  # item 0 runs on the calling thread
+    assert len({ident for _, ident in out}) <= cpus
+
+
+@pytest.mark.parametrize("blas", ["none", "one cpu"])
+def test_on_cores_with_one_worker_starts_no_thread(monkeypatch, blas):
+    if blas == "none":
+        monkeypatch.setattr(rd, "_find_openblas", lambda: None)
+    else:
+        _cores(monkeypatch, 1)
+    before = set(threading.enumerate())
+
+    def item(i):
+        assert set(threading.enumerate()) == before
+        return threading.get_ident()
+
+    with rd.on_cores() as run:
+        assert run(item, range(5)) == [threading.get_ident()] * 5
+
+
+def test_on_cores_pins_blas_for_every_item_and_restores_it(monkeypatch):
+    blas = _cores(monkeypatch, 2)
+    with rd.on_cores() as run:
+        assert run(lambda i: blas.get(), range(6)) == [1] * 6
+        with rd.on_cores() as inner:  # the pin is reentrant, as a fit's log callback needs
+            assert inner(lambda i: blas.get(), range(3)) == [1] * 3
+        assert blas.threads == 1
+    assert blas.threads == 3
+    with pytest.raises(ZeroDivisionError), rd.on_cores() as run:
+        run(lambda i: 1 / (i - 2), range(4))
+    assert blas.threads == 3
+
+
+# item 0 runs on the calling thread, item 1 on the first pool thread, later items on whichever thread is free
+@pytest.mark.parametrize("fail", [0, 1, 5])
+def test_on_cores_item_error_reaches_caller(monkeypatch, fail):
+    blas = _cores(monkeypatch, 3)
+    before = set(threading.enumerate())
+    started = []
+
+    def item(i):
+        started.append(i)
+        if i == fail:
+            raise RuntimeError(f"item {i} failed")
+        time.sleep(0.02)
+        return i
+
+    with pytest.raises(RuntimeError, match=f"item {fail} failed"), rd.on_cores() as run:
+        run(item, range(12))
+    # items 0-2 go to the three workers at once, later ones in order as a worker
+    # frees up; once an item has failed no worker takes another
+    assert fail in started and set(started) <= set(range(max(fail + 1, 3)))
+    assert blas.threads == 3
+    assert set(threading.enumerate()) == before
+
+
+def test_on_cores_leaves_no_thread(monkeypatch):
+    _cores(monkeypatch, 3)
+    before = set(threading.enumerate())
+    with rd.on_cores() as run:
+        for _ in range(3):
+            idents = {ident for _, ident in run(_slow_square, range(9))}
+    assert len(idents) > 1  # the pool did run items
+    assert set(threading.enumerate()) == before
+
+
+def test_sampling_imports_neither_the_thread_pool_nor_logging():
+    # on_cores imports concurrent.futures, which pulls in logging, only when it
+    # runs: denoiser_sample's peak RSS moves by 7-18% with what the process imports
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "import numpy as np\n"
+        "import trifield\n"
+        "for m in pkgutil.iter_modules(trifield.__path__):\n"
+        "    importlib.import_module('trifield.' + m.name)\n"
+        "from trifield import diffusion as df\n"
+        "den = df.Denoiser(df.DenoiserConfig(resolution=4, hidden=8, d_model=8))\n"
+        "df.ddpm_sample_many(den, [np.zeros(3, dtype=np.int64)], df.make_schedule(1), np.random.default_rng(0))\n"
+        "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])\n"
+    )
+    src = os.path.dirname(os.path.dirname(rd.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_fitted_sphere_render_matches_fine_oracle():

@@ -224,67 +224,31 @@ def test_fit_without_openblas_matches_the_two_worker_fit(monkeypatch):
         assert np.array_equal(a, b)
 
 
-class _FakeBlas:
-    """A BLAS thread count that fit_scene pins and restores."""
-
-    def __init__(self, threads):
-        self.threads = threads
-
-    def set(self, k):
-        self.threads = k
-
-    def get(self):
-        return self.threads
-
-
-def _watch_parts(monkeypatch, fail_rays=None):
-    """Record (BLAS count, thread, rays) of every render in a fit; raise on a part of `fail_rays` rays."""
-    blas = _FakeBlas(3)
-    monkeypatch.setattr(rd, "_find_openblas", lambda: (blas.set, blas.get))
+def _watch_parts(monkeypatch):
+    """Record (thread, rays) of every render in a fit, run on a fake OpenBLAS and two usable CPUs."""
+    monkeypatch.setattr(rd, "_find_openblas", lambda: (lambda k: None, lambda: 1))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     calls = []
     render_rays = tr.render_rays
 
     def watched(tri, heads, origins, *args):
-        calls.append((blas.get(), threading.get_ident(), len(origins)))
-        if len(origins) == fail_rays:
-            raise RuntimeError("part failed")
+        calls.append((threading.get_ident(), len(origins)))
         return render_rays(tri, heads, origins, *args)
 
     monkeypatch.setattr(tr, "render_rays", watched)
-    return blas, calls
-
-
-def test_fit_pins_blas_and_leaves_no_thread(monkeypatch):
-    before = set(threading.enumerate())
-    blas, calls = _watch_parts(monkeypatch)
-    result = tr.fit_scene(vacuum_views(), small_cfg(iterations=6, val_every=3))
-    assert result.steps_run == 6 and np.all(np.isfinite(result.history))
-    assert blas.threads == 3
-    assert {count for count, _, _ in calls} == {1}
-    # two 48-ray parts a step, then the 128-ray probe at steps 3 and 6
-    assert [rays for _, _, rays in calls] == ([48, 48] * 3 + [128]) * 2
-    if len(os.sched_getaffinity(0)) > 1:
-        assert {ident for _, ident, _ in calls} - {threading.get_ident()}
-    assert set(threading.enumerate()) == before
-
-
-@pytest.mark.parametrize("fail_rays", [2, 3])  # part 0 (calling thread) and part 1 of a 5-ray batch
-def test_fit_part_error_reaches_caller_and_restores_blas(monkeypatch, fail_rays):
-    before = set(threading.enumerate())
-    blas, calls = _watch_parts(monkeypatch, fail_rays)
-    with pytest.raises(RuntimeError, match="part failed"):
-        tr.fit_scene(vacuum_views(), small_cfg(ray_batch=5))
-    assert blas.threads == 3
-    assert {count for count, _, _ in calls} == {1}
-    assert set(threading.enumerate()) == before
+    return calls
 
 
 @pytest.mark.parametrize("ray_batch, sizes", [(1, [1]), (5, [2, 3])])
 def test_fit_splits_small_and_odd_batches(monkeypatch, ray_batch, sizes):
-    _, calls = _watch_parts(monkeypatch)
+    calls = _watch_parts(monkeypatch)
     result = tr.fit_scene(vacuum_views(), small_cfg(iterations=4, ray_batch=ray_batch, val_every=10))
     assert result.steps_run == 4 and np.all(np.isfinite(result.history))
-    assert sorted(rays for _, _, rays in calls[:-1]) == sorted(sizes * 4)  # the last call is the probe
+    assert calls[-1] == (threading.get_ident(), 128)  # the probe
+    # part 0 runs on the calling thread, part 1 on the one pool thread
+    here = threading.get_ident()
+    assert [rays for ident, rays in calls[:-1] if ident == here] == sizes[:1] * 4
+    assert [rays for ident, rays in calls[:-1] if ident != here] == sizes[1:] * 4
 
 
 def test_fit_log_callback_can_render_a_view():

@@ -14,7 +14,9 @@ from trifield.triplane import Triplane
 def test_unstack_planes_inverts_stack_planes(b):
     rng = np.random.default_rng(b)
     d, c = 4, 3
-    tris = [tp.random_triplane(rng, d, c, scale=1.0, requires_grad=True) for _ in range(b)]
+    tris = [tp.random_triplane(rng, d, c, scale=1.0) for _ in range(b)]
+    for tri in tris:
+        tri.tensor.requires_grad = True
     x = tp.stack_planes(tris)
     # per example xy, xz, yz, each plane's D*D rows [v, u] row-major
     assert np.array_equal(x.data, np.concatenate([p.reshape(d * d, c) for tri in tris for p in tri.tensor.data]))
