@@ -301,6 +301,38 @@ def test_conv3x3_node_is_bit_identical_to_columns_then_affine(d, g):
             assert got is None or np.array_equal(got, want), (mask, k)
 
 
+@pytest.mark.parametrize("g", [3, 5])
+@pytest.mark.parametrize("d", [2, 4])
+def test_conv3x3_blocks_of_whole_grids_change_only_rounding(d, g, monkeypatch):
+    # blocks of two grids: both g leave a short last block of one grid
+    rng = np.random.default_rng(60 + 10 * d + g)
+    c, f = 3, 5
+    x, w, b = rng.normal(size=(g * d * d, c)), rng.normal(size=(9 * c, f)), rng.normal(size=f)
+    probe = rng.normal(size=(g * d * d, f))
+    masks = [(True,) * 3] + [tuple(j == k for j in range(3)) for k in range(3)]
+    assert g * d * d < ad._CONV_BLOCK_ROWS  # so the reference builds its columns in one block
+    want = [_conv_run(True, x, d, w, b, probe, mask) for mask in masks]
+    rows, columns = [], ad._conv_columns
+
+    def recording(a, d):
+        rows.append(len(a))
+        return columns(a, d)
+
+    monkeypatch.setattr(ad, "_CONV_BLOCK_ROWS", 2 * d * d)
+    monkeypatch.setattr(ad, "_conv_columns", recording)
+    got = [_conv_run(True, x, d, w, b, probe, mask) for mask in masks]
+    assert max(rows) == 2 * d * d and min(rows) == d * d
+
+    def close(a, b):
+        return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    for mask, (got_out, got_grads), (want_out, want_grads) in zip(masks, got, want):
+        assert close(got_out, want_out), mask
+        for k, (got_k, want_k) in enumerate(zip(got_grads, want_grads)):
+            assert (got_k is None) == (want_k is None), (mask, k)
+            assert got_k is None or close(got_k, want_k), (mask, k)
+
+
 def _operands(arg):
     """The tensor (or scalar) operands of a primitive call, in argument order."""
     if isinstance(arg, (list, tuple)):

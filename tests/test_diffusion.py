@@ -600,6 +600,26 @@ def test_a_training_forward_keeps_no_conv_columns():
     assert sum(node._op == "conv3x3" for node in ad.topo_order(out)) == 13
 
 
+def test_no_conv_builds_the_columns_of_more_than_one_block(monkeypatch):
+    # at the benchmark's shapes a batch-8 sampling pass built (6144, 288) up-conv
+    # columns, 13.5 MB and most of the pass's peak memory
+    rows, columns = [], ad._conv_columns
+
+    def recording(x, d):
+        rows.append(len(x))
+        return columns(x, d)
+
+    monkeypatch.setattr(ad, "_conv_columns", recording)
+    den = df.Denoiser(df.DenoiserConfig(seed=5))
+    assert (den.cfg.resolution, den.cfg.hidden) == (16, 16)
+    dataset = sc.make_toy_triplane_dataset(8, d=16, c=4, seed=5)
+    df.ddpm_sample_many(den, [ex.tokens for ex in dataset], df.make_schedule(1), np.random.default_rng(5), chunk=8)
+    sampled = len(rows)
+    df.train_denoiser(dataset, df.DiffusionTrainConfig(steps=1, batch=4, seed=5), denoiser=den)
+    assert sampled and len(rows) > sampled
+    assert max(rows) <= ad._CONV_BLOCK_ROWS
+
+
 def test_whole_denoiser_pass_grad_checks():
     den = small_model(d=4, seed=12)
     assert den.cfg.use_adapters and den.cfg.adapter_attention
