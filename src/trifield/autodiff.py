@@ -527,64 +527,43 @@ def mlp(x, layers):
     return Tensor(h, _parents=parents, _backward=bwd, _op="mlp")
 
 
-def _conv_columns(x, d):
-    """Clamp-to-edge 3x3 im2col columns of the (G*d*d, C) rows of G stacked row-major d x d grids.
+def _conv_padded(x, d):
+    """Edge-padded flat rows of the (G*d*d, C) rows of G stacked row-major d x d grids.
 
-    Returns an owned (G*d*d, 9*C) array: the taps (v + dv, u + du), clamped
-    into the grid, for dv and then du in (-1, 0, 1), each C wide.
+    Returns an owned (G*(d+2)**2, C) array: each grid with its edge rows and
+    columns copied once outward. Tap (dv, du) of the output at (v, u) is then
+    row (v + dv)*(d+2) + (u + du) of its grid, for dv and du in (0, 1, 2).
     """
-    n, c = x.shape
+    c = x.shape[1]
     grids = x.reshape(-1, d, d, c)
     padded = np.empty((len(grids), d + 2, d + 2, c))  # edge pad by slices: np.pad added ~1 ms per sampling pass
     padded[:, 1:-1, 1:-1] = grids
     padded[:, 0, 1:-1], padded[:, -1, 1:-1] = grids[:, 0], grids[:, -1]
     padded[:, :, 0], padded[:, :, -1] = padded[:, :, 1], padded[:, :, -2]
-    # the 3 taps of one dv are 3*c contiguous values of a padded grid row
-    rows = padded.reshape(-1, d + 2, (d + 2) * c)
-    cols = np.empty((n, 9 * c))  # the one copy, owned at every d (a reshape would return a view at d = 1)
-    cols.reshape(-1, d, d, 3, 3 * c)[...] = np.lib.stride_tricks.sliding_window_view(
-        rows, (3, 3 * c), axis=(1, 2))[:, :, ::c]
-    return cols
-
-
-def _conv_fold(g, d):
-    """Adjoint of `_conv_columns`: (G*d*d, 9*C) column adjoints -> (G*d*d, C) row adjoints.
-
-    Adds the 9 tap adjoints onto the padded grid and folds the pad rows and
-    columns back onto the edge they copy.
-    """
-    n, c = g.shape[0], g.shape[1] // 9
-    taps = g.reshape(-1, d, d, 3, 3, c)
-    full = np.zeros((len(taps), d + 2, d + 2, c))
-    for dv in range(3):
-        for du in range(3):
-            full[:, dv:dv + d, du:du + d] += taps[:, :, :, dv, du]
-    full[:, 1] += full[:, 0]
-    full[:, d] += full[:, d + 1]
-    full[:, :, 1] += full[:, :, 0]
-    full[:, :, d] += full[:, :, d + 1]
-    return full[:, 1:d + 1, 1:d + 1].reshape(n, c)
+    return padded.reshape(-1, c)
 
 
 # rows per conv block: whole grids, at most this many rows unless one grid is
-# more. A batch's im2col columns are 9x its input and were most of the peak
-# memory of a sampling pass, so only one block's columns exist at a time
+# more. Only one block's padded rows and accumulators exist at a time, which
+# keeps a sampling pass's peak memory off the batch size
 _CONV_BLOCK_ROWS = 2048
 
 
 def conv3x3(x, d, w, b):
     """Clamp-to-edge 3x3 conv of stacked d x d grids, as one tape node whose parents are x, w and b.
 
-    x holds the (G*d*d, C) rows of G row-major d x d grids, w is (9*C, F) in
-    the tap order of `_conv_columns` and b is (F,). The same arithmetic as
-    `affine(columns, w, b)`, but the node keeps its input, not its columns,
-    and builds them one block of whole grids at a time (`_CONV_BLOCK_ROWS`):
-    the forward writes each block's GEMM into its rows of the output, and
-    the backward rebuilds a block's columns only when w requires grad and
-    sums the blocks' weight adjoints. Grids do not touch, so the x adjoint
-    folds block by block exactly. The output and the weight adjoint sit
-    within ~1e-16 relative of one whole-batch GEMM, and equal it bit for bit
-    when the batch is one block.
+    x holds the (G*d*d, C) rows of G row-major d x d grids, w is (9*C, F),
+    the taps (v + dv, u + du) for dv and then du in (-1, 0, 1), each C rows,
+    and b is (F,). The conv runs over blocks of whole grids
+    (`_CONV_BLOCK_ROWS`) as nine shifted GEMMs on each block's edge-padded
+    flat rows (`_conv_padded`): tap k starts at row s_k = dv*(d+2) + du, so
+    `acc[p] = sum_k pf[p + s_k] @ w_k` over one contiguous span of rows, and
+    the output is the d x d interior of the padded accumulator. The backward
+    zero-pads g to the same layout: the weight adjoint of tap k is
+    `pf[s_k:s_k+span].T @ gp`, with the padded rows rebuilt only when w
+    requires grad, and the x adjoint adds `gp @ w_k.T` at each shift, then
+    folds the pad rows and columns back onto the edge they copy. Grids do
+    not touch, so blocks are exact; the node keeps only x, w and b.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim != 2 or d < 1 or x.data.shape[0] % (d * d):
@@ -592,24 +571,56 @@ def conv3x3(x, d, w, b):
     c = x.data.shape[1]
     if w.data.ndim != 2 or w.data.shape[0] != 9 * c or b.data.shape != (w.data.shape[1],):
         raise ShapeError(f"conv3x3: need a ({9 * c}, F) weight and an (F,) bias, got {w.data.shape} and {b.data.shape}")
-    n, step = x.data.shape[0], max(1, _CONV_BLOCK_ROWS // (d * d)) * d * d
+    n, f, e = x.data.shape[0], w.data.shape[1], d + 2
+    step = max(1, _CONV_BLOCK_ROWS // (d * d)) * d * d
     blocks = [slice(lo, lo + step) for lo in range(0, n, step)]
-    out_data = np.empty((n, w.data.shape[1]))
+    shifts = [dv * e + du for dv in range(3) for du in range(3)]
+    taps = [slice(k * c, (k + 1) * c) for k in range(9)]
+
+    def interior(rows):  # the d x d interior of padded flat rows, as a (G, d, d, K) view
+        return rows.reshape(-1, e, e, rows.shape[1])[:, :d, :d]
+
+    out_data = np.empty((n, f))
     for blk in blocks:
-        np.matmul(_conv_columns(x.data[blk], d), w.data, out=out_data[blk])
+        pf = _conv_padded(x.data[blk], d)
+        span = len(pf) - 2 * e - 2  # the last interior row is span - 1
+        acc, part = np.empty((len(pf), f)), np.empty((span, f))
+        np.matmul(pf[:span], w.data[taps[0]], out=acc[:span])
+        for s, tap in zip(shifts[1:], taps[1:]):
+            acc[:span] += np.matmul(pf[s:s + span], w.data[tap], out=part)
+        out_data[blk].reshape(-1, d, d, f)[...] = interior(acc)
     out_data += b.data
 
     def bwd(g):
         grads = []
         if b.requires_grad:
             grads.append((b, g.sum(axis=0)))
+        if not (w.requires_grad or x.requires_grad):
+            return tuple(grads)
+        gw, gx = np.zeros_like(w.data), np.empty((n, c))
+        wt = w.data.T.copy()  # on a transposed view of w_k the per-tap x adjoint ran up to 3x slower
+        for blk in blocks:
+            g_blk = g[blk]
+            gp = np.zeros((len(g_blk) // (d * d) * e * e, f))
+            interior(gp)[...] = g_blk.reshape(-1, d, d, f)
+            span = len(gp) - 2 * e - 2
+            if w.requires_grad:
+                pf = _conv_padded(x.data[blk], d)
+                for s, tap in zip(shifts, taps):
+                    gw[tap] += pf[s:s + span].T @ gp[:span]
+            if x.requires_grad:
+                full = np.zeros((len(gp), c))
+                for s, tap in zip(shifts, taps):
+                    full[s:s + span] += gp[:span] @ wt[:, tap]
+                full = full.reshape(-1, e, e, c)
+                full[:, 1] += full[:, 0]
+                full[:, d] += full[:, d + 1]
+                full[:, :, 1] += full[:, :, 0]
+                full[:, :, d] += full[:, :, d + 1]
+                gx[blk].reshape(-1, d, d, c)[...] = full[:, 1:d + 1, 1:d + 1]
         if w.requires_grad:
-            grads.append((w, sum((_conv_columns(x.data[blk], d).T @ g[blk] for blk in blocks),
-                                 np.zeros_like(w.data))))
+            grads.append((w, gw))
         if x.requires_grad:
-            gx = np.empty((n, c))
-            for blk in blocks:
-                gx[blk] = _conv_fold(g[blk] @ w.data.T, d)
             grads.append((x, gx))
         return tuple(grads)
 

@@ -331,7 +331,7 @@ def cmd_fit(args):
     metrics = [(f"loss.{s:05d}", _fmt(l)) for s, l, _ in logs]
     metrics += [(f"val.{s:05d}", _fmt(v)) for s, _, v in logs]
     metrics += [("best_val", _fmt(result.best_val)), ("steps", result.steps_run),
-                ("diverged", int(result.diverged)),
+                ("diverged", int(result.diverged)), ("adamw_rejected", result.adamw_rejected),
                 ("mean_sigma", _fmt(tr.mean_density(result.triplane, result.heads)))]
 
     metrics += _azimuth_psnrs(cfg, scene, result.triplane, result.heads, size, "psnr.holdout")[0]
@@ -484,7 +484,8 @@ def cmd_diffusion(args):
         result = df.train_denoiser(dataset, train_cfg, model_cfg=model_cfg, denoiser=denoiser)
         df.save_denoiser(os.path.join(out, "denoiser.ckpt"), result.denoiser)
         metrics = [(f"loss.{i:05d}", _fmt(v)) for i, v in enumerate(result.history, start=1) if i % 100 == 0]
-        metrics += [("loss.final", _fmt(np.mean(result.history[-20:]))), ("diverged", int(result.diverged))]
+        metrics += [("loss.final", _fmt(np.mean(result.history[-20:]))), ("diverged", int(result.diverged)),
+                    ("adamw_rejected", result.adamw_rejected)]
         _write_metrics(os.path.join(out, "metrics.txt"), metrics)
         print(f"final loss {np.mean(result.history[-20:]):.4f}")
         return 1 if result.diverged else 0

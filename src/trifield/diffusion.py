@@ -283,6 +283,7 @@ class DiffusionTrainResult:
     sched: NoiseSchedule
     history: list = field(default_factory=list)
     diverged: bool = False
+    adamw_rejected: int = 0  # steps AdamW rejected for a non-finite gradient
 
 
 def train_denoiser(dataset, cfg, model_cfg=None, denoiser=None):
@@ -339,6 +340,7 @@ def train_denoiser(dataset, cfg, model_cfg=None, denoiser=None):
         for p in trainable:
             p.requires_grad = False
             p.grad = None
+    result.adamw_rejected = opt.rejected
     return result
 
 

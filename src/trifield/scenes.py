@@ -306,6 +306,17 @@ def _axis_profile(d, lo, hi):
     return np.clip(np.minimum(i - lo, hi - i) + 0.5, 0.0, 1.0)
 
 
+_BOX_MIN_SIDE = 3.0  # a toy box side is drawn from [3, d - 2]
+
+
+def _size_class(mean_side, d):
+    """The caption's size word for a toy box of mean side `mean_side` in d x d planes: thirds of [3, d - 2]."""
+    third = (d - 2.0 - _BOX_MIN_SIDE) / 3.0
+    if mean_side < _BOX_MIN_SIDE + third:
+        return "small"
+    return "medium" if mean_side < _BOX_MIN_SIDE + 2 * third else "large"
+
+
 def make_toy_triplane_dataset(count, d=16, c=4, seed=0):
     """Random colored boxes as soft orthographic projections; channel 0 is
     occupancy, channels 1..3 a color fill. Captions name color and size."""
@@ -317,7 +328,7 @@ def make_toy_triplane_dataset(count, d=16, c=4, seed=0):
         raise ValueError(f"need d >= 5 texels per side for a box of side >= 3, got d={d}")
     rng = np.random.default_rng(seed)
     colors = sorted(BOX_PALETTE)
-    min_side, max_side = 3.0, d - 2.0
+    min_side, max_side = _BOX_MIN_SIDE, d - 2.0
     examples = []
     for _ in range(count):
         name = colors[rng.integers(len(colors))]
@@ -337,9 +348,34 @@ def make_toy_triplane_dataset(count, d=16, c=4, seed=0):
             return np.stack(chans, axis=-1)
 
         x0 = Triplane(np.stack([plane(0, 1), plane(0, 2), plane(1, 2)]))
-        mean_side = float((hi - lo).mean())
-        third = (max_side - min_side) / 3.0
-        size = "small" if mean_side < min_side + third else ("medium" if mean_side < min_side + 2 * third else "large")
-        caption = (name, size, "box")
+        caption = (name, _size_class(float((hi - lo).mean()), d), "box")
         examples.append(ToyTriplaneExample(x0, caption, token_ids(caption)))
     return examples
+
+
+def decode_toy_triplane(tri):
+    """(colour, size, mass) read off a toy box triplane, independently of any model.
+
+    It inverts `make_toy_triplane_dataset`'s caption on every dataset example:
+    - mass is the occupancy (channel 0, clipped at 0) summed over the three
+      planes;
+    - colour is the `BOX_PALETTE` name nearest the rgb of the texels with
+      occupancy above 0.5, each channel's sum over them divided by their
+      occupancy's, or None if no texel is above 0.5;
+    - size is the caption's size class of the mean of the three max-marginal
+      sums, x from the xy plane, y from yz and z from xz, which on a dataset
+      box are its three sides.
+    """
+    data = tri.tensor.data
+    if data.shape[-1] < 4:
+        raise ValueError(f"need at least 4 channels (occupancy + rgb), got {data.shape[-1]}")
+    occ = np.maximum(data[..., 0], 0.0)
+    xy, xz, yz = occ  # each plane's rows are its second axis, its columns its first
+    sides = [xy.max(axis=0).sum(), yz.max(axis=0).sum(), xz.max(axis=1).sum()]
+    size = _size_class(float(np.mean(sides)), data.shape[1])
+    inside = occ > 0.5
+    colour = None
+    if inside.any():
+        rgb = data[..., 1:4][inside].sum(axis=0) / occ[inside].sum()
+        colour = min(sorted(BOX_PALETTE), key=lambda name: float(np.sum((rgb - BOX_PALETTE[name]) ** 2)))
+    return colour, size, float(occ.sum())

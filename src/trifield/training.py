@@ -128,6 +128,7 @@ class FitResult:
     best_val: float = float("inf")
     diverged: bool = False
     steps_run: int = 0
+    adamw_rejected: int = 0  # steps either optimizer rejected for a non-finite gradient
 
 
 def _snapshot(tensors):
@@ -252,6 +253,7 @@ def fit_scene(views, cfg=None, weights=None, log=None):
         for p in params:
             p.grad = None
 
+    result.adamw_rejected = opt_planes.rejected + opt_heads.rejected
     _restore(params, best)
     # snap to float32 so checkpoint round-trips render bit-identically
     for p in params:

@@ -7,6 +7,8 @@ import pytest
 from trifield import autodiff as ad
 from trifield.autodiff import Tensor
 
+from test_diffusion import _conv_rows_reference
+
 
 def test_softmax_symmetry():
     out = ad.softmax(Tensor([0.0, 0.0]), axis=0)
@@ -269,36 +271,62 @@ def test_mlp_node_is_bit_identical_to_the_composed_chain(depth):
             assert got is None or np.array_equal(got, want), (mask, k)
 
 
-def _conv_run(use_node, x, d, w, b, probe, grad_mask):
-    """Forward and gradients of sum(conv(x) * probe); grad_mask flags x, w and b."""
+def _conv_run(x, d, w, b, probe, grad_mask):
+    """Forward and gradients of sum(conv3x3(x) * probe); grad_mask flags x, w and b."""
     xt, wt, bt = (Tensor(a, requires_grad=flag) for a, flag in zip((x, w, b), grad_mask))
-    if use_node:
-        out = ad.conv3x3(xt, d, wt, bt)
-    else:  # the composed chain: an im2col node's columns, then affine
-        cols = Tensor(ad._conv_columns(x, d), requires_grad=xt.requires_grad)
-        out = ad.affine(cols, wt, bt)
+    out = ad.conv3x3(xt, d, wt, bt)
     if out.requires_grad:
         ad.tsum(ad.mul(out, Tensor(probe))).backward()
-    grads = [xt.grad, wt.grad, bt.grad]
-    if not use_node and cols.grad is not None:
-        grads[0] = ad._conv_fold(cols.grad, d)
-    return out.data, grads
+    return out.data, [xt.grad, wt.grad, bt.grad]
 
 
-@pytest.mark.parametrize("d, g", [(1, 3), (2, 3), (4, 6)])
-def test_conv3x3_node_is_bit_identical_to_columns_then_affine(d, g):
+def _conv_reference(x, d, w, b, probe):
+    """The same by gathering each output row's 9 source rows into columns, then one affine map.
+
+    The x adjoint scatter-adds the column adjoints back onto their source rows.
+    """
+    rows = _conv_rows_reference(len(x) // (d * d), d)
+    cols = x[rows].reshape(len(x), -1)
+    gx = np.zeros_like(x)
+    np.add.at(gx, rows, (probe @ w.T).reshape(-1, x.shape[1]))
+    return cols @ w + b, [gx, cols.T @ probe, probe.sum(axis=0)]
+
+
+def _assert_conv_matches_reference(x, d, w, b, probe, masks):
+    # the conv sums its 9 taps one shifted GEMM at a time, the reference in one GEMM over the columns
+    def close(a, b):
+        return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    want_out, want_grads = _conv_reference(x, d, w, b, probe)
+    for mask in masks:
+        got_out, got_grads = _conv_run(x, d, w, b, probe, mask)
+        assert close(got_out, want_out), mask
+        for k, (got, want, flag) in enumerate(zip(got_grads, want_grads, mask)):
+            assert (got is not None) == flag, (mask, k)
+            assert got is None or close(got, want), (mask, k)
+
+
+def _record_padded_rows(monkeypatch):
+    """Patch `_conv_padded` to append the input rows of each block it pads to the returned list."""
+    rows, padded = [], ad._conv_padded
+
+    def recording(a, d):
+        rows.append(len(a))
+        return padded(a, d)
+
+    monkeypatch.setattr(ad, "_conv_padded", recording)
+    return rows
+
+
+# (16, 9) is 2304 rows, so two blocks of _CONV_BLOCK_ROWS = 2048 rows: 8 grids and 1
+@pytest.mark.parametrize("d, g", [(1, 3), (2, 3), (4, 6), (8, 3), (16, 9)])
+def test_conv3x3_node_matches_columns_then_affine(d, g):
     rng = np.random.default_rng(40 + d)
     c, f = 3, 5
     x, w, b = rng.normal(size=(g * d * d, c)), rng.normal(size=(9 * c, f)), rng.normal(size=f)
     probe = rng.normal(size=(g * d * d, f))
     masks = [(True,) * 3, (False,) * 3] + [tuple(j == k for j in range(3)) for k in range(3)]
-    for mask in masks:
-        got_out, got_grads = _conv_run(True, x, d, w, b, probe, mask)
-        want_out, want_grads = _conv_run(False, x, d, w, b, probe, mask)
-        assert np.array_equal(got_out, want_out), mask
-        for k, (got, want) in enumerate(zip(got_grads, want_grads)):
-            assert (got is None) == (want is None), (mask, k)
-            assert got is None or np.array_equal(got, want), (mask, k)
+    _assert_conv_matches_reference(x, d, w, b, probe, masks)
 
 
 @pytest.mark.parametrize("g", [3, 5])
@@ -309,28 +337,23 @@ def test_conv3x3_blocks_of_whole_grids_change_only_rounding(d, g, monkeypatch):
     c, f = 3, 5
     x, w, b = rng.normal(size=(g * d * d, c)), rng.normal(size=(9 * c, f)), rng.normal(size=f)
     probe = rng.normal(size=(g * d * d, f))
-    masks = [(True,) * 3] + [tuple(j == k for j in range(3)) for k in range(3)]
-    assert g * d * d < ad._CONV_BLOCK_ROWS  # so the reference builds its columns in one block
-    want = [_conv_run(True, x, d, w, b, probe, mask) for mask in masks]
-    rows, columns = [], ad._conv_columns
-
-    def recording(a, d):
-        rows.append(len(a))
-        return columns(a, d)
-
     monkeypatch.setattr(ad, "_CONV_BLOCK_ROWS", 2 * d * d)
-    monkeypatch.setattr(ad, "_conv_columns", recording)
-    got = [_conv_run(True, x, d, w, b, probe, mask) for mask in masks]
-    assert max(rows) == 2 * d * d and min(rows) == d * d
+    rows = _record_padded_rows(monkeypatch)
+    masks = [(True,) * 3] + [tuple(j == k for j in range(3)) for k in range(3)]
+    _assert_conv_matches_reference(x, d, w, b, probe, masks)
+    assert max(rows) == 2 * d * d <= ad._CONV_BLOCK_ROWS and min(rows) == d * d
 
-    def close(a, b):
-        return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
-    for mask, (got_out, got_grads), (want_out, want_grads) in zip(masks, got, want):
-        assert close(got_out, want_out), mask
-        for k, (got_k, want_k) in enumerate(zip(got_grads, want_grads)):
-            assert (got_k is None) == (want_k is None), (mask, k)
-            assert got_k is None or close(got_k, want_k), (mask, k)
+def test_conv3x3_backward_pads_x_again_only_when_w_requires_grad(monkeypatch):
+    # a frozen-backbone step needs no weight adjoint, so no padded copy of the input for it
+    rng = np.random.default_rng(70)
+    d, c, f = 4, 3, 5
+    x, w, b, probe = (rng.normal(size=s) for s in ((2 * d * d, c), (9 * c, f), (f,), (2 * d * d, f)))
+    calls = _record_padded_rows(monkeypatch)
+    for w_grad, backward_calls in ((False, 0), (True, 1)):
+        calls.clear()
+        _conv_run(x, d, w, b, probe, (True, w_grad, True))
+        assert len(calls) == 1 + backward_calls, w_grad  # the forward's one block, then the weight adjoint's
 
 
 def _operands(arg):

@@ -238,7 +238,7 @@ def test_fit_writes_outputs_and_vacuum_collapses(tmp_path):
     text = open(os.path.join(out, "metrics.txt")).read()
     metrics = dict(line.split("=", 1) for line in text.splitlines())
     assert float(metrics["mean_sigma"]) < 1e-3
-    assert metrics["diverged"] == "0"
+    assert metrics["diverged"] == "0" and metrics["adamw_rejected"] == "0"
 
 
 def test_fit_metrics_deterministic(tmp_path):
@@ -658,6 +658,7 @@ def test_diffusion_memorization_metrical(tmp_path):
     text = open(os.path.join(out, "metrics.txt")).read()
     metrics = dict(line.split("=", 1) for line in text.splitlines())
     assert float(metrics["loss.final"]) < 3.5  # sanity: moving toward memorization
+    assert metrics["adamw_rejected"] == "0"
 
 
 def test_diffusion_ablate_emits_comparison(tmp_path, capsys):

@@ -132,6 +132,22 @@ def test_training_loss_decreases():
     assert np.mean(res.history[-10:]) < np.mean(res.history[:10])
 
 
+def test_training_counts_the_steps_adamw_rejects(monkeypatch):
+    dataset, model_cfg = small_dataset(2), df.DenoiserConfig(hidden=8, d_k=4, d_model=8, use_adapters=False, seed=0)
+    cfg = df.DiffusionTrainConfig(steps=3, batch=2, timesteps=20, seed=0)
+    assert df.train_denoiser(dataset, cfg, model_cfg=model_cfg).adamw_rejected == 0
+    step = df.AdamW.step
+
+    def poisoned(opt):  # the first step sees a non-finite gradient
+        if opt.step_count == 0 and opt.rejected == 0:
+            opt.params[0].grad = np.full_like(opt.params[0].data, np.nan)
+        return step(opt)
+
+    monkeypatch.setattr(df.AdamW, "step", poisoned)
+    res = df.train_denoiser(dataset, cfg, model_cfg=model_cfg)
+    assert res.adamw_rejected == 1 and len(res.history) == 3 and not res.diverged
+
+
 def test_frozen_backbone_stage_leaves_backbone_bit_identical():
     dataset = small_dataset(2)
     cfg1 = df.DiffusionTrainConfig(steps=25, batch=2, lr=3e-3, timesteps=20, seed=0)
@@ -280,27 +296,45 @@ class BayesDenoiser:
         return Tensor(self._eps(x.data, ts[0]))
 
 
-@pytest.mark.parametrize("timesteps", [1, 2, 10, 100])
-def test_whole_chain_matches_closed_form_moments(timesteps):
-    # with the Bayes-optimal predictor each ancestral step is affine in x_t plus
-    # Gaussian noise, so every entry's mean and variance follow a scalar recursion
-    # from (0, 1) at t = T
-    mu, s, chains = 0.3, 0.5, 128
-    sched = df.make_schedule(timesteps)
+def _bayes_chain(sched, mu=0.3, s=0.5, chains=128):
+    """Sampled entries of whole chains under the Bayes-optimal predictor, and their closed-form mean and variance.
+
+    With that predictor each ancestral step is affine in x_t plus Gaussian
+    noise, so every entry's mean and variance follow a scalar recursion from
+    (0, 1) at t = T.
+    """
     den = BayesDenoiser(sched, mu, s)
     out = df.ddpm_sample_many(den, [np.zeros(3, dtype=np.int64)] * chains, sched, np.random.default_rng(17), chunk=8)
     x = np.concatenate([tri.tensor.data.ravel() for tri in out])
     mean, var = 0.0, 1.0
-    for t in range(timesteps, 0, -1):
+    for t in range(sched.timesteps, 0, -1):
         beta, ab = sched.beta(t), sched.alpha_bar(t)
         c = np.sqrt(1.0 - ab) / (ab * s * s + 1.0 - ab)  # eps_hat = c * (x - sqrt(ab) * mu)
         gain = (1.0 - beta * c / np.sqrt(1.0 - ab)) / np.sqrt(1.0 - beta)
         shift = beta * c * np.sqrt(ab) * mu / (np.sqrt(1.0 - ab) * np.sqrt(1.0 - beta))
         noise = beta * (1.0 - sched.alpha_bar_prev(t)) / (1.0 - ab) if t > 1 else 0.0
         mean, var = gain * mean + shift, gain * gain * var + noise
+    assert x.size == chains * 3 * 8 * 8 * 4
+    return x, mean, var
+
+
+@pytest.mark.parametrize("timesteps", [1, 2, 10, 100])
+def test_whole_chain_matches_closed_form_moments(timesteps):
+    x, mean, var = _bayes_chain(df.make_schedule(timesteps))
     n = x.size
-    assert n == chains * 3 * 8 * 8 * 4
     # entries are independent Gaussians: bound each moment by 4 standard errors
+    assert abs(x.mean() - mean) < 4.0 * np.sqrt(var / n), (x.mean(), mean)
+    assert abs(x.var(ddof=1) - var) < 4.0 * var * np.sqrt(2.0 / (n - 1)), (x.var(ddof=1), var)
+
+
+def test_whole_chain_reaches_the_data_mean_on_a_schedule_that_ends_in_noise():
+    # the default schedule keeps ~60% of the signal at t = T, so its chains cannot start from the
+    # prior they assume; beta up to 0.2 leaves alpha_bar_T ~ 2e-5, and the chain must end at mu
+    sched = df.make_schedule(100, 1e-3, 0.2)
+    assert sched.alpha_bar(100) < 1e-4
+    x, mean, var = _bayes_chain(sched, mu=0.3)
+    n = x.size
+    assert abs(x.mean() - 0.3) < 4.0 * np.sqrt(var / n), x.mean()
     assert abs(x.mean() - mean) < 4.0 * np.sqrt(var / n), (x.mean(), mean)
     assert abs(x.var(ddof=1) - var) < 4.0 * var * np.sqrt(2.0 / (n - 1)), (x.var(ddof=1), var)
 
@@ -551,17 +585,24 @@ def test_spatial_ops_match_nested_loop_references(d, g):
     x = rng.normal(size=(g * d * d, c))
     rows = _conv_rows_reference(g, d)
     cols = x[rows].reshape(g * d * d, 9 * c)
-    assert np.array_equal(ad._conv_columns(x, d), cols)
     w, b = rng.normal(size=(9 * c, f)), rng.normal(size=f)
-    assert np.array_equal(ad.conv3x3(Tensor(x), d, Tensor(w), Tensor(b)).data, cols @ w + b)
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    out = ad.conv3x3(xt, d, wt, Tensor(b))
+
+    def close(a, b):  # the conv sums its 9 taps one shifted GEMM at a time, not in one GEMM over the columns
+        return np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    assert close(out.data, cols @ w + b)
     fine = rng.normal(size=(g * 4 * d * d, c))
     assert np.array_equal(df._pool(Tensor(fine), d).data, _pool_reference(fine, g, d))
     assert np.array_equal(df._upsample(Tensor(x), d).data, _upsample_reference(x, g, d))
 
-    probe = rng.normal(size=(g * d * d, 9 * c))
+    probe = rng.normal(size=(g * d * d, f))
+    ad.tsum(ad.mul(out, Tensor(probe))).backward()
+    assert close(wt.grad, cols.T @ probe)
     xg = Tensor(x, requires_grad=True)
-    ad.tsum(ad.mul(ad.gather(xg, rows), Tensor(probe.reshape(-1, c)))).backward()
-    assert np.abs(ad._conv_fold(probe, d) - xg.grad).max() <= 1e-12 * max(1.0, np.abs(xg.grad).max())
+    ad.tsum(ad.mul(ad.gather(xg, rows), Tensor((probe @ w.T).reshape(-1, c)))).backward()
+    assert close(xt.grad, xg.grad)
 
 
 def test_conv3x3_rejects_rows_that_are_not_whole_grids():
@@ -575,14 +616,14 @@ def test_conv3x3_rejects_rows_that_are_not_whole_grids():
 
 @pytest.mark.parametrize("d", [1, 2, 4])
 def test_conv_columns_are_an_owned_writeable_array(d):
-    # at d = 1 a reshape of the window view would be a read-only view of the private padded buffer
-    out = ad._conv_columns(np.ones((3 * d * d, 2)), d)
+    # the output is copied out of the padded accumulator, never a view of it, also at d = 1
+    out = ad.conv3x3(Tensor(np.ones((3 * d * d, 2))), d, Tensor(np.ones((18, 3))), Tensor(np.zeros(3))).data
     assert out.flags.writeable and out.flags.owndata and out.flags.c_contiguous
 
 
 def test_a_training_forward_keeps_no_conv_columns():
-    # each conv kept its (rows, 9*C) im2col columns on the tape, half the tape of a training step;
-    # a conv node now keeps its input and rebuilds the columns in its backward
+    # each conv once kept its (rows, 9*C) im2col columns on the tape, half the tape of a training
+    # step; a conv node keeps only its input, weight and bias
     den = small_model(d=4, seed=12)
     for t in den.parameters():
         t.requires_grad = True
@@ -602,14 +643,15 @@ def test_a_training_forward_keeps_no_conv_columns():
 
 def test_no_conv_builds_the_columns_of_more_than_one_block(monkeypatch):
     # at the benchmark's shapes a batch-8 sampling pass built (6144, 288) up-conv
-    # columns, 13.5 MB and most of the pass's peak memory
-    rows, columns = [], ad._conv_columns
+    # im2col columns, 13.5 MB and most of the pass's peak memory; the padded rows
+    # and accumulators of a conv are built one block of whole grids at a time
+    rows, padded = [], ad._conv_padded
 
     def recording(x, d):
         rows.append(len(x))
-        return columns(x, d)
+        return padded(x, d)
 
-    monkeypatch.setattr(ad, "_conv_columns", recording)
+    monkeypatch.setattr(ad, "_conv_padded", recording)
     den = df.Denoiser(df.DenoiserConfig(seed=5))
     assert (den.cfg.resolution, den.cfg.hidden) == (16, 16)
     dataset = sc.make_toy_triplane_dataset(8, d=16, c=4, seed=5)

@@ -8,6 +8,7 @@ from trifield import diffusion as df
 from trifield import render as rd
 from trifield import scenes as sc
 from trifield.autodiff import Tensor
+from trifield.triplane import Triplane
 
 
 def test_scene_parameter_validation():
@@ -425,3 +426,17 @@ def test_toy_dataset_validation():
             sc.make_toy_triplane_dataset(1, d=d)
     for ex in sc.make_toy_triplane_dataset(20, d=5, seed=1):
         assert ex.x0.tensor.data.shape == (3, 5, 5, 4)
+
+
+def test_toy_triplane_decoder_inverts_the_dataset_captions():
+    # colour and size are read off the planes alone, so the decoder can judge any triplane against its caption
+    examples = sc.make_toy_triplane_dataset(400, d=16, c=4, seed=123)
+    decoded = [sc.decode_toy_triplane(ex.x0) for ex in examples]
+    assert [(colour, size) for colour, size, _ in decoded] == [ex.caption[:2] for ex in examples]
+    assert {ex.caption[:2] for ex in examples} >= {(name, size) for name in sc.BOX_PALETTE for size in ("small", "large")}
+    for ex, (_, _, mass) in zip(examples, decoded):
+        assert mass == pytest.approx(ex.x0.tensor.data[..., 0].sum(), rel=1e-12)
+    # an empty triplane has no colour, no mass and the smallest size
+    assert sc.decode_toy_triplane(Triplane(np.zeros((3, 16, 16, 4)))) == (None, "small", 0.0)
+    with pytest.raises(ValueError, match="channels"):
+        sc.decode_toy_triplane(Triplane(np.zeros((3, 16, 16, 3))))

@@ -174,6 +174,20 @@ def test_psnr_basics():
     assert tr.psnr(img, img + 0.1) == pytest.approx(20.0, abs=1e-9)
 
 
+def test_fit_counts_the_steps_its_optimizers_reject(monkeypatch):
+    assert tr.fit_scene(vacuum_views(), small_cfg(iterations=3)).adamw_rejected == 0
+    step = tr.AdamW.step
+
+    def poisoned(opt):  # each optimizer's first step sees a non-finite gradient
+        if opt.step_count == 0 and opt.rejected == 0:
+            opt.params[0].grad = np.full_like(opt.params[0].data, np.nan)
+        return step(opt)
+
+    monkeypatch.setattr(tr.AdamW, "step", poisoned)
+    result = tr.fit_scene(vacuum_views(), small_cfg(iterations=3))
+    assert result.adamw_rejected == 2 and result.steps_run == 3 and not result.diverged
+
+
 def test_fit_halts_on_divergence_with_finite_checkpoint(monkeypatch):
     views = vacuum_views()
     poisoned = [(cam, RenderOutput(np.full_like(gt.image, np.nan), gt.mask, gt.depth))
