@@ -431,15 +431,20 @@ def _triplane_previews(out_dir, stem, tri):
     write_ppm(os.path.join(out_dir, f"{stem}_rgb.ppm"), side[..., 1:4])
 
 
+# (DenoiserConfig field, config key that sets it), in the order a loaded denoiser is checked
+_DENOISER_KEYS = (
+    ("resolution", "diffusion.grid_resolution"), ("channels", "diffusion.grid_channels"),
+    ("timesteps", "diffusion.timesteps"), ("hidden", "diffusion.hidden"),
+    ("d_k", "diffusion.d_k"), ("d_model", "diffusion.d_model"),
+)
+
+
 def _train_cfgs(cfg, use_oa):
     from . import diffusion as df
 
     train_cfg = _section(df.DiffusionTrainConfig, cfg, "diffusion", seed=cfg["seed"])
-    model_cfg = df.DenoiserConfig(
-        resolution=cfg["diffusion.grid_resolution"], channels=cfg["diffusion.grid_channels"],
-        hidden=cfg["diffusion.hidden"], d_k=cfg["diffusion.d_k"], d_model=cfg["diffusion.d_model"],
-        timesteps=cfg["diffusion.timesteps"], use_adapters=True, adapter_attention=use_oa, seed=cfg["seed"],
-    )
+    model_cfg = df.DenoiserConfig(**{field: cfg[key] for field, key in _DENOISER_KEYS},
+                                  use_adapters=True, adapter_attention=use_oa, seed=cfg["seed"])
     return train_cfg, model_cfg
 
 
@@ -468,10 +473,7 @@ def cmd_diffusion(args):
         denoiser = _load_checkpoint(df.load_denoiser, args.checkpoint)
         if denoiser is None:
             return 1
-        for field, key in (("resolution", "diffusion.grid_resolution"), ("channels", "diffusion.grid_channels"),
-                           ("timesteps", "diffusion.timesteps"), ("hidden", "diffusion.hidden"),
-                           ("d_k", "diffusion.d_k"), ("d_model", "diffusion.d_model"),
-                           ("adapter_attention", "diffusion.use_oa")):
+        for field, key in _DENOISER_KEYS + (("adapter_attention", "diffusion.use_oa"),):
             have, want = getattr(denoiser.cfg, field), cfg[key]
             if have != want:
                 print(f"checkpoint error: denoiser {field} {have} does not match {key} {want}", file=sys.stderr)

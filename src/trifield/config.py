@@ -173,20 +173,27 @@ class RunConfig:
 
 
 def parse_config(path):
+    """The RunConfig a file sets; ConfigError if it cannot be read as UTF-8 text or breaks a rule."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = list(f)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path!r} is not UTF-8 text: {exc.reason}") from None
     values = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise ConfigError(f"line {line_no}: expected 'key = value', got {body!r}")
-            key, raw = (part.strip() for part in body.split("=", 1))
-            if key not in SPEC:
-                raise ConfigError(f"line {line_no}: unknown key {key!r}")
-            domain = SPEC[key][1]
-            try:
-                values[key] = domain.parse(raw)
-            except ValueError:
-                raise ConfigError(f"line {line_no}: key {key!r} expects {domain.expects}, got {raw!r}") from None
+    for line_no, line in enumerate(lines, start=1):
+        body = line.split("#", 1)[0].strip()
+        if not body:
+            continue
+        if "=" not in body:
+            raise ConfigError(f"line {line_no}: expected 'key = value', got {body!r}")
+        key, raw = (part.strip() for part in body.split("=", 1))
+        if key not in SPEC:
+            raise ConfigError(f"line {line_no}: unknown key {key!r}")
+        domain = SPEC[key][1]
+        try:
+            values[key] = domain.parse(raw)
+        except ValueError:
+            raise ConfigError(f"line {line_no}: key {key!r} expects {domain.expects}, got {raw!r}") from None
     return RunConfig(values)

@@ -29,10 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attention import token_ids
-from .render import Camera, RenderOutput, generate_rays, sample_points_batch
+from .render import SQRT3, Camera, RenderOutput, generate_rays, sample_points_batch
 from .triplane import Triplane
-
-SQRT3 = float(np.sqrt(3.0))
 
 # sample points per oracle chunk: ~256 KB per (rays, n_fine) array
 ORACLE_CHUNK_POINTS = 1 << 15

@@ -13,8 +13,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, add, mul, sub, tmean
+from .cores import on_cores
 from .render import (
-    FieldHeads, RenderOutput, default_bounds, generate_rays, init_field_heads, on_cores, render_rays,
+    FieldHeads, RenderOutput, default_bounds, field_eval_batch, generate_rays, init_field_heads, render_rays,
     sample_points_batch,
 )
 from .triplane import Triplane, random_triplane
@@ -265,8 +266,6 @@ def mean_density(tri, heads):
     """Mean field density on a regular 8^3 probe lattice inside the cube."""
     axis = np.linspace(-0.9, 0.9, 8)
     pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-    from .render import field_eval_batch
-
     sigma, _ = field_eval_batch(tri, heads, pts)
     return float(sigma.data.mean())
 

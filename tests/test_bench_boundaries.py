@@ -14,6 +14,7 @@ import threading
 import numpy as np
 import pytest
 
+from trifield import cores
 from trifield import triplane as tp
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -101,7 +102,7 @@ def test_tracer_reaches_render_view_chunks_on_worker_threads(tracing):
     for span, seen in threads.items():
         assert tracer.calls[span] == chunks, span
         assert threading.get_ident() in seen, span  # the calling thread renders chunk 0
-        if rd._find_openblas() is not None and len(os.sched_getaffinity(0)) > 1:
+        if cores._find_openblas() is not None and len(os.sched_getaffinity(0)) > 1:
             assert len(seen) > 1, span
 
 
@@ -109,12 +110,11 @@ def test_tracer_reaches_fit_parts_on_the_worker_thread(tracing):
     # fit_scene runs part 1 of each step's batch on a worker thread; training
     # must look render_rays up at call time, so that the tracer's rebinding
     # still sees both parts (EXPECTED["fit_cube"] of perfbench/run.py)
-    from trifield import render as rd
     from trifield import scenes as sc
     from trifield import training as tr
     from trifield.render import RenderOutput
 
-    if rd._find_openblas() is None or len(os.sched_getaffinity(0)) < 2:
+    if cores._find_openblas() is None or len(os.sched_getaffinity(0)) < 2:
         pytest.skip("the fit runs its parts on one thread here")
     cams = sc.camera_orbit(2, 3.0, 0.3, height=8, width=8)
     views = [(cam, RenderOutput(np.zeros((8, 8, 3)), np.zeros((8, 8)), np.full((8, 8), 4.7))) for cam in cams]

@@ -99,9 +99,29 @@ def test_config_parses_comments_and_bools(tmp_path):
     assert cfg["fit.stratified"] is False and cfg["seed"] == 9
 
 
-def test_cli_exit_2_on_config_error(tmp_path):
-    path = write_config(tmp_path / "bad.cfg", ["nope = 1"])
-    assert run_cli("fit", "--config", path, "--out", str(tmp_path / "o")) == 2
+def _config_at(tmp_path, case):
+    """The --config path of each case: one that reads but breaks a rule, or one that cannot be read."""
+    path = tmp_path / "bad.cfg"
+    if case == "unknown key":
+        write_config(path, ["nope = 1"])
+    elif case == "directory":
+        path.mkdir()
+    elif case == "not utf-8":
+        path.write_bytes(b"seed = 1\n# caf\xe9\n")
+    return str(path)  # "missing": never created
+
+
+@pytest.mark.parametrize("command", [["fit"], ["diffusion", "train"]], ids=["fit", "diffusion"])
+@pytest.mark.parametrize("case", ["unknown key", "missing", "directory", "not utf-8"])
+def test_cli_exit_2_on_config_error(tmp_path, capsys, case, command):
+    path = _config_at(tmp_path, case)
+    out = tmp_path / "o"
+    assert run_cli(*command, "--config", path, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    if case != "unknown key":
+        assert repr(path) in err
+    assert not out.exists()
 
 
 def test_config_parses_azimuth_list_once(tmp_path):

@@ -2,12 +2,12 @@ import os
 import subprocess
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
 
 from trifield import autodiff as ad
+from trifield import cores
 from trifield import render as rd
 from trifield import scenes as sc
 from trifield import triplane as tp
@@ -261,7 +261,7 @@ class _FakeBlas:
 
 def _with_fake_blas(monkeypatch, threads=3):
     blas = _FakeBlas(threads)
-    monkeypatch.setattr(rd, "_find_openblas", lambda: (blas.set, blas.get))
+    monkeypatch.setattr(cores, "_find_openblas", lambda: (blas.set, blas.get))
     render_rays = rd.render_rays
 
     def seen(*args, **kwargs):
@@ -296,7 +296,7 @@ def test_render_view_pool_matches_serial_chunks(monkeypatch, n, height, width):
     out = rd.render_view(tri, heads, cam, n)
     _assert_frame(out, _serial_frame(tri, heads, cam, n))
     # the calling thread renders chunks too, and workers - 1 pool threads help it
-    workers = len(os.sched_getaffinity(0)) if rd._find_openblas() is not None else 1
+    workers = len(os.sched_getaffinity(0)) if cores._find_openblas() is not None else 1
     assert threading.get_ident() in threads and len(set(threads)) <= workers
 
 
@@ -304,14 +304,14 @@ def test_render_view_without_openblas_runs_one_worker(monkeypatch):
     tri, heads = _pool_model()
     cam = make_camera(17, 17, fov=1.2)
     want = _serial_frame(tri, heads, cam, 24)
-    monkeypatch.setattr(rd, "_find_openblas", lambda: None)
+    monkeypatch.setattr(cores, "_find_openblas", lambda: None)
     threads = _chunk_threads(monkeypatch)
     _assert_frame(rd.render_view(tri, heads, cam, 24), want)
     assert threads == [threading.get_ident()] * 3
 
 
 def test_render_view_restores_the_loaded_openblas():
-    blas = rd._find_openblas()
+    blas = cores._find_openblas()
     if blas is None:
         pytest.skip("numpy's BLAS is not an OpenBLAS found in /proc/self/maps")
     set_threads, get_threads = blas
@@ -343,92 +343,6 @@ def test_concurrent_render_views_keep_frames_and_blas_count(monkeypatch):
         _assert_frame(out, ref)
     assert blas.threads == 3
     assert set(blas.seen) == {1}
-
-
-def _cores(monkeypatch, n, threads=3):
-    """`on_cores` with a fake OpenBLAS at `threads` threads and n usable CPUs."""
-    blas = _FakeBlas(threads)
-    monkeypatch.setattr(rd, "_find_openblas", lambda: (blas.set, blas.get))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    return blas
-
-
-def _slow_square(i):
-    time.sleep(0.002 * (i % 3))  # items finish out of order
-    return i * i, threading.get_ident()
-
-
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_on_cores_returns_results_in_item_order(monkeypatch, cpus):
-    _cores(monkeypatch, cpus)
-    with rd.on_cores() as run:
-        out = run(_slow_square, range(11))
-        assert run(_slow_square, []) == []
-    assert [sq for sq, _ in out] == [i * i for i in range(11)]
-    assert out[0][1] == threading.get_ident()  # item 0 runs on the calling thread
-    assert len({ident for _, ident in out}) <= cpus
-
-
-@pytest.mark.parametrize("blas", ["none", "one cpu"])
-def test_on_cores_with_one_worker_starts_no_thread(monkeypatch, blas):
-    if blas == "none":
-        monkeypatch.setattr(rd, "_find_openblas", lambda: None)
-    else:
-        _cores(monkeypatch, 1)
-    before = set(threading.enumerate())
-
-    def item(i):
-        assert set(threading.enumerate()) == before
-        return threading.get_ident()
-
-    with rd.on_cores() as run:
-        assert run(item, range(5)) == [threading.get_ident()] * 5
-
-
-def test_on_cores_pins_blas_for_every_item_and_restores_it(monkeypatch):
-    blas = _cores(monkeypatch, 2)
-    with rd.on_cores() as run:
-        assert run(lambda i: blas.get(), range(6)) == [1] * 6
-        with rd.on_cores() as inner:  # the pin is reentrant, as a fit's log callback needs
-            assert inner(lambda i: blas.get(), range(3)) == [1] * 3
-        assert blas.threads == 1
-    assert blas.threads == 3
-    with pytest.raises(ZeroDivisionError), rd.on_cores() as run:
-        run(lambda i: 1 / (i - 2), range(4))
-    assert blas.threads == 3
-
-
-# item 0 runs on the calling thread, item 1 on the first pool thread, later items on whichever thread is free
-@pytest.mark.parametrize("fail", [0, 1, 5])
-def test_on_cores_item_error_reaches_caller(monkeypatch, fail):
-    blas = _cores(monkeypatch, 3)
-    before = set(threading.enumerate())
-    started = []
-
-    def item(i):
-        started.append(i)
-        if i == fail:
-            raise RuntimeError(f"item {i} failed")
-        time.sleep(0.02)
-        return i
-
-    with pytest.raises(RuntimeError, match=f"item {fail} failed"), rd.on_cores() as run:
-        run(item, range(12))
-    # items 0-2 go to the three workers at once, later ones in order as a worker
-    # frees up; once an item has failed no worker takes another
-    assert fail in started and set(started) <= set(range(max(fail + 1, 3)))
-    assert blas.threads == 3
-    assert set(threading.enumerate()) == before
-
-
-def test_on_cores_leaves_no_thread(monkeypatch):
-    _cores(monkeypatch, 3)
-    before = set(threading.enumerate())
-    with rd.on_cores() as run:
-        for _ in range(3):
-            idents = {ident for _, ident in run(_slow_square, range(9))}
-    assert len(idents) > 1  # the pool did run items
-    assert set(threading.enumerate()) == before
 
 
 def test_sampling_imports_neither_the_thread_pool_nor_logging():

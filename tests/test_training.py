@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from trifield import autodiff as ad
+from trifield import cores
 from trifield import render as rd
 from trifield import scenes as sc
 from trifield import triplane as tp
@@ -231,7 +232,7 @@ def test_fit_without_openblas_matches_the_two_worker_fit(monkeypatch):
     # one worker runs both batch parts in the calling thread, part 0 first
     views = vacuum_views()
     pooled = tr.fit_scene(views, small_cfg())
-    monkeypatch.setattr(rd, "_find_openblas", lambda: None)
+    monkeypatch.setattr(cores, "_find_openblas", lambda: None)
     serial = tr.fit_scene(views, small_cfg())
     assert serial.history == pooled.history
     for a, b in zip(_fit_params(serial), _fit_params(pooled)):
@@ -240,7 +241,7 @@ def test_fit_without_openblas_matches_the_two_worker_fit(monkeypatch):
 
 def _watch_parts(monkeypatch):
     """Record (thread, rays) of every render in a fit, run on a fake OpenBLAS and two usable CPUs."""
-    monkeypatch.setattr(rd, "_find_openblas", lambda: (lambda k: None, lambda: 1))
+    monkeypatch.setattr(cores, "_find_openblas", lambda: (lambda k: None, lambda: 1))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     calls = []
     render_rays = tr.render_rays
