@@ -368,26 +368,6 @@ def add_rowvec(a, v):
     return Tensor(out_data, _parents=(a, v), _backward=bwd, _op="add_rowvec")
 
 
-def sin(a):
-    a = as_tensor(a)
-    out_data = np.sin(a.data)
-
-    def bwd(g):
-        return ((a, g * np.cos(a.data)),)
-
-    return Tensor(out_data, _parents=(a,), _backward=bwd, _op="sin")
-
-
-def cos(a):
-    a = as_tensor(a)
-    out_data = np.cos(a.data)
-
-    def bwd(g):
-        return ((a, -g * np.sin(a.data)),)
-
-    return Tensor(out_data, _parents=(a,), _backward=bwd, _op="cos")
-
-
 def softmax(a, axis=-1):
     a = as_tensor(a)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
@@ -706,8 +686,9 @@ def primitive_suite(seed=0):
         ("narrow", lambda t: tsum(mul(narrow(t, 1, 1, 2), k_nar)), _rng_inputs(rng, (3, 4))),
         ("gather", lambda t: tsum(mul(gather(t, gi), k_gat)), _rng_inputs(rng, (3, 4))),
         ("exp", lambda t: tsum(exp(t)), _rng_inputs(rng, (3, 4))),
-        ("sin", lambda t: tsum(mul(sin(t), k_add)), _rng_inputs(rng, (3, 4))),
-        ("cos", lambda t: tsum(mul(cos(t), k_sub)), _rng_inputs(rng, (3, 4))),
+    ]
+    rng.normal(size=(2, 3, 4))  # spare draw
+    suite += [
         ("softplus", lambda t: tsum(softplus(t)), _rng_inputs(rng, (3, 4))),
         ("sigmoid", lambda t: tsum(sigmoid(t)), _rng_inputs(rng, (3, 4))),
         ("relu", lambda t: tsum(relu(t)), Tensor(x4.copy(), requires_grad=True)),

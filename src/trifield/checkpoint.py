@@ -133,7 +133,8 @@ class Reader:
 
 
 def heads_to_arrays(heads):
-    out = {"meta": np.array([heads.n_freqs, len(heads.s_layers)], dtype=np.float64)}
+    # meta keeps its old leading 0, once a position-encoding width, so HEDS bytes do not change
+    out = {"meta": np.array([0, len(heads.s_layers)], dtype=np.float64)}
     for tag, layers in (("s", heads.s_layers), ("c", heads.c_layers)):
         for i, (w, b) in enumerate(layers):
             out[f"{tag}{i}.w"] = w.data
@@ -144,16 +145,15 @@ def heads_to_arrays(heads):
 def _head_shapes(declared, feat_dim):
     """The {name: shape} map of a heads section, chained through the widths it declares.
 
-    Both MLPs read 3(1 + 2 n_freqs) + feat_dim inputs, each layer's rows are the
-    previous layer's columns, and the last layers have 1 (density) and 3 (color)
-    columns. The section holds `meta` plus a weight and a bias per layer.
+    Both MLPs read 3 + feat_dim inputs (point | triplane feature), each layer's
+    rows are the previous layer's columns, and the last layers have 1 (density)
+    and 3 (color) columns. The section holds `meta` = (0, depth) plus a weight
+    and a bias per layer.
     """
-    extra = (declared.get("s0.w") or (0,))[0] - feat_dim - 3
-    in_dim = feat_dim + 3 + (extra if extra > 0 and extra % 6 == 0 else 0)
     depth = max(1, (len(declared) - 1) // 4)
     shapes = {"meta": (2,)}
     for tag, n_out in (("s", 1), ("c", 3)):
-        rows = in_dim
+        rows = 3 + feat_dim
         for i in range(depth):
             w = declared.get(f"{tag}{i}.w", ())
             cols = n_out if i == depth - 1 else (w[1] if len(w) == 2 else 0)
@@ -162,16 +162,15 @@ def _head_shapes(declared, feat_dim):
     return shapes
 
 
-def heads_from_arrays(arrays, feat_dim):
+def heads_from_arrays(arrays):
     """FieldHeads from the arrays of a heads section that `_head_shapes` has checked."""
     depth = (len(arrays) - 1) // 4
-    n_freqs = (arrays["s0.w"].shape[0] - feat_dim - 3) // 6
     meta = tuple(arrays["meta"].tolist())
-    if meta != (n_freqs, depth):
-        raise CheckpointError(f"meta: (n_freqs, depth) = {meta}, the layer shapes give {(n_freqs, depth)}")
+    if meta != (0, depth):
+        raise CheckpointError(f"meta: {meta}, expected {(0, depth)}")
     s_layers = [(Tensor(arrays[f"s{i}.w"]), Tensor(arrays[f"s{i}.b"])) for i in range(depth)]
     c_layers = [(Tensor(arrays[f"c{i}.w"]), Tensor(arrays[f"c{i}.b"])) for i in range(depth)]
-    return FieldHeads(s_layers=s_layers, c_layers=c_layers, n_freqs=n_freqs)
+    return FieldHeads(s_layers=s_layers, c_layers=c_layers)
 
 
 def save_fit_checkpoint(path, tri, heads):
@@ -189,4 +188,4 @@ def load_fit_checkpoint(path):
     tri = Triplane(np.stack([r.array((d, d, c), f"plane {pid}") for pid in PLANE_IDS]))
     arrays = r.named_arrays(HEADS_MAGIC, lambda declared: _head_shapes(declared, 3 * c))
     r.end()
-    return tri, heads_from_arrays(arrays, 3 * c)
+    return tri, heads_from_arrays(arrays)

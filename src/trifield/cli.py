@@ -204,6 +204,12 @@ def _rebind(old, new):
                     setattr(mod, attr, new)
 
 
+def is_primitive(fn):
+    """True for a primitive: a function that builds its own `bwd` closure, so has an adjoint to corrupt."""
+    code = getattr(fn, "__code__", None)
+    return code is not None and any(getattr(c, "co_name", None) == "bwd" for c in code.co_consts)
+
+
 def cmd_gradcheck(args):
     from . import autodiff as ad
     from .config import RunConfig
@@ -211,9 +217,7 @@ def cmd_gradcheck(args):
     RunConfig({"seed": args.seed})  # the seed domain every command shares
     if args.inject_fault:
         original = getattr(ad, args.inject_fault, None)
-        code = getattr(original, "__code__", None)
-        if code is None or not any(getattr(c, "co_name", None) == "bwd" for c in code.co_consts):
-            # only a primitive, a function that builds its own `bwd` closure, has an adjoint to corrupt
+        if not is_primitive(original):
             print(f"no such op to corrupt: {args.inject_fault}", file=sys.stderr)
             return 2
 
@@ -456,6 +460,12 @@ def cmd_diffusion(args):
     from .config import ConfigError
 
     cfg = _load_config(args)
+    if args.mode == "sample" and not args.checkpoint:
+        print("usage error: diffusion sample needs --checkpoint", file=sys.stderr)
+        return 2
+    if args.mode == "ablate" and args.checkpoint:  # ablate trains both of its denoisers afresh
+        print("usage error: diffusion ablate takes no --checkpoint", file=sys.stderr)
+        return 2
     try:  # constructor rules (beta_start <= beta_end) run before a checkpoint is read or a file written
         sched = df.make_schedule(cfg["diffusion.timesteps"], cfg["diffusion.beta_start"], cfg["diffusion.beta_end"])
         train_cfg, model_cfg = _train_cfgs(cfg, cfg["diffusion.use_oa"])
@@ -465,11 +475,8 @@ def cmd_diffusion(args):
         )
     except ValueError as exc:
         raise ConfigError(f"diffusion: {exc}") from None
-    if args.mode == "sample" and not args.checkpoint:
-        print("usage error: diffusion sample needs --checkpoint", file=sys.stderr)
-        return 2
     denoiser = None
-    if args.checkpoint and args.mode != "ablate":
+    if args.checkpoint:
         denoiser = _load_checkpoint(df.load_denoiser, args.checkpoint)
         if denoiser is None:
             return 1

@@ -108,7 +108,6 @@ SPEC = {
     "fit.grid_channels": (16, Int(1, 1024)),
     "fit.hidden": (32, Int(1, 4096)),
     "fit.mlp_depth": (2, Int(1, 64)),
-    "fit.n_freqs": (0, Int(0, 64)),             # past octave 2^52 a float64 point's phase is rounding noise
     "fit.val_every": (100, Int(1)),
     "fit.val_rays": (512, Int(1)),              # capped at the supervision rays
     "fit.stratified": (True, Flag()),

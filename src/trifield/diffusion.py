@@ -17,7 +17,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, add, affine, broadcast_to, concat, conv3x3, gather, mul, relu, reshape, tmean, transpose
 from .attention import VOCABULARY, AttentionParams, cross_attention, stacked_orthogonal_attention
 from .checkpoint import CheckpointError, Reader, write_block, write_named_arrays
-from .training import AdamW
+from .training import AdamW, mse
 from .triplane import Triplane, plane_marginal, stack_planes, unstack_planes
 
 DENOISER_MAGIC = b"DNZR"
@@ -253,9 +253,9 @@ def epsilon_loss(denoiser, x0s, token_matrix, ts, eps, sched):
     Example k is x0s[k] noised with eps[k] to timestep ts[k], captioned by row k of token_matrix.
     """
     x_t = stack_planes([q_sample(x0, t, e, sched) for x0, t, e in zip(x0s, ts, eps)])
-    diff = ad.sub(denoiser._forward_stacked(x_t, ts, token_matrix, len(ts)), stack_planes(eps))
+    pred = denoiser._forward_stacked(x_t, ts, token_matrix, len(ts))
     # planes are co-sized, so the batch mean of sum-of-plane-means is 3x the mean over all entries
-    return mul(tmean(mul(diff, diff)), 3.0)
+    return mul(mse(pred, stack_planes(eps)), 3.0)
 
 
 @dataclass
@@ -374,7 +374,7 @@ def cross_plane_consistency(tri):
     pxy, pxz, pyz = tri.tensor.data
 
     def prof(plane, reduce_axis):
-        return plane_marginal(plane, reduce_axis, "max")[:, 0]
+        return plane_marginal(plane, reduce_axis)[:, 0]
 
     pairs = [
         (prof(pxy, "v"), prof(pxz, "v")),  # x-marginals

@@ -113,7 +113,7 @@ def sample_points_batch(t_near, t_far, n_rays, n, stratified=False, rng=None):
 
 @dataclass
 class FieldHeads:
-    """Density and color MLPs over (position encoding | triplane feature).
+    """Density and color MLPs over (point | triplane feature).
 
     s_layers / c_layers are (weight, bias) pairs; relu between layers. Density
     passes through softplus, color through sigmoid.
@@ -121,14 +121,13 @@ class FieldHeads:
 
     s_layers: list
     c_layers: list
-    n_freqs: int = 0
 
     def tensors(self):
         return [t for w, b in self.s_layers + self.c_layers for t in (w, b)]
 
 
-def init_field_heads(rng, feat_dim, hidden=32, depth=2, n_freqs=0, density_bias=-1.0):
-    in_dim = 3 * (1 + 2 * n_freqs) + feat_dim
+def init_field_heads(rng, feat_dim, hidden=32, depth=2, density_bias=-1.0):
+    in_dim = 3 + feat_dim
 
     def head(out_dim, out_bias):
         layers, last = [], in_dim
@@ -140,19 +139,7 @@ def init_field_heads(rng, feat_dim, hidden=32, depth=2, n_freqs=0, density_bias=
                        Tensor(np.full(out_dim, out_bias))))
         return layers
 
-    return FieldHeads(s_layers=head(1, density_bias), c_layers=head(3, 0.0), n_freqs=n_freqs)
-
-
-def encode_positions(points, n_freqs):
-    """Raw 3-vector, optionally with sin/cos of scaled octave frequencies."""
-    if n_freqs == 0:
-        return points
-    parts = [points]
-    for k in range(n_freqs):
-        scaled = mul(points, float(2.0 ** k * np.pi))
-        parts.append(ad.sin(scaled))
-        parts.append(ad.cos(scaled))
-    return concat(parts, axis=1)
+    return FieldHeads(s_layers=head(1, density_bias), c_layers=head(3, 0.0))
 
 
 def field_eval_batch(tri, heads, points):
@@ -161,7 +148,7 @@ def field_eval_batch(tri, heads, points):
     n = pts.data.shape[0]
     # no local name keeps the (N, 3C) lookup, so without grad it is freed
     # once the concat has copied it, before the heads run
-    x = concat([encode_positions(pts, heads.n_freqs), sample_triplane(tri, pts)], axis=1)
+    x = concat([pts, sample_triplane(tri, pts)], axis=1)
     sigma = reshape(softplus(mlp(x, heads.s_layers)), (n,))
     color = sigmoid(mlp(x, heads.c_layers))
     return sigma, color

@@ -103,7 +103,6 @@ class FitConfig:
     grid_channels: int = 16
     hidden: int = 32
     mlp_depth: int = 2
-    n_freqs: int = 0
     val_every: int = 100
     val_rays: int = 512
     stratified: bool = True
@@ -117,8 +116,6 @@ class FitConfig:
         for name in ("lr_planes", "lr_heads"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.n_freqs < 0:
-            raise ValueError(f"n_freqs must be >= 0, got {self.n_freqs}")
 
 
 @dataclass
@@ -150,7 +147,7 @@ def _part_leaves(tri, heads):
     def layers(pairs):
         return [(leaf(w), leaf(b)) for w, b in pairs]
 
-    return Triplane(leaf(tri.tensor)), FieldHeads(layers(heads.s_layers), layers(heads.c_layers), heads.n_freqs)
+    return Triplane(leaf(tri.tensor)), FieldHeads(layers(heads.s_layers), layers(heads.c_layers))
 
 
 def fit_scene(views, cfg=None, weights=None, log=None):
@@ -177,7 +174,7 @@ def fit_scene(views, cfg=None, weights=None, log=None):
     rng = np.random.default_rng(cfg.seed)
 
     tri = random_triplane(rng, cfg.grid_resolution, cfg.grid_channels, scale=0.05)
-    heads = init_field_heads(rng, 3 * cfg.grid_channels, hidden=cfg.hidden, depth=cfg.mlp_depth, n_freqs=cfg.n_freqs)
+    heads = init_field_heads(rng, 3 * cfg.grid_channels, hidden=cfg.hidden, depth=cfg.mlp_depth)
 
     origins, dirs, gt_rgb, gt_mask, gt_depth = [], [], [], [], []
     bounds = [default_bounds(cam.position) for cam, _ in views]

@@ -206,17 +206,12 @@ def sample_triplane(tri, points):
     return triplane_lookup(tri.tensor, pts)
 
 
-def plane_marginal(plane, axis, reducer):
-    """Reduce one plane along the named axis ('u' or 'v') -> (D, C) profile."""
+def plane_marginal(plane, axis):
+    """Max of one plane along the named axis ('u' or 'v') -> (D, C) profile."""
     arr = np.asarray(plane, dtype=np.float64)
     if arr.ndim != 3:
         raise ValueError(f"plane must be (D, D, C), got {arr.shape}")
     if axis not in ("u", "v"):
         raise ValueError(f"axis must be 'u' or 'v', got {axis!r}")
-    ax = 1 if axis == "u" else 0  # arrays are [v, u, c]
-    if reducer == "mean":
-        return arr.mean(axis=ax)
-    if reducer == "max":
-        return arr.max(axis=ax)
-    raise ValueError(f"reducer must be 'mean' or 'max', got {reducer!r}")
+    return arr.max(axis=1 if axis == "u" else 0)  # arrays are [v, u, c]
 

@@ -35,7 +35,7 @@ def tiny_fit_bytes(tmp_path, heads=None):
 
 def fit_shapes(tri, heads):
     layers = [(w.data.shape, b.data.shape) for w, b in heads.s_layers + heads.c_layers]
-    return tri.tensor.data.shape, layers, heads.n_freqs
+    return tri.tensor.data.shape, layers
 
 
 def fit_finite(tri, heads):
@@ -115,7 +115,7 @@ def test_fit_checkpoint_matches_the_spec_byte_for_byte(tmp_path):
     w = [np.arange(r * k).reshape(r, k) * 0.25 for r, k in ((9, 2), (2, 1), (9, 2), (2, 3))]
     b = [np.full(k, 0.125 * (i + 1)) for i, k in enumerate((2, 1, 2, 3))]
     heads = rd.FieldHeads(s_layers=[(Tensor(w[0]), Tensor(b[0])), (Tensor(w[1]), Tensor(b[1]))],
-                          c_layers=[(Tensor(w[2]), Tensor(b[2])), (Tensor(w[3]), Tensor(b[3]))], n_freqs=0)
+                          c_layers=[(Tensor(w[2]), Tensor(b[2])), (Tensor(w[3]), Tensor(b[3]))])
     path = tmp_path / "fit.ckpt"
     ck.save_fit_checkpoint(str(path), Triplane(np.stack(planes)), heads)
     want = b"TRPL" + struct.pack("<HII", 1, d, c) + b"".join(spec_floats(p) for p in planes)
@@ -236,28 +236,32 @@ def test_named_arrays_require_exactly_the_expected_names_and_shapes():
 def test_heads_must_chain(tmp_path):
     rng = np.random.default_rng(1)
 
-    def heads(s_shapes, c_shapes, n_freqs=0):
+    def heads(s_shapes, c_shapes):
         def layers(shapes):
             return [(Tensor(rng.normal(size=s)), Tensor(np.zeros(s[1]))) for s in shapes]
-        return rd.FieldHeads(s_layers=layers(s_shapes), c_layers=layers(c_shapes), n_freqs=n_freqs)
+        return rd.FieldHeads(s_layers=layers(s_shapes), c_layers=layers(c_shapes))
 
-    path = str(tmp_path / "fit.ckpt")
+    path = tmp_path / "fit.ckpt"
     tri = tp.random_triplane(rng, 2, 2)  # 6 features
-    ck.save_fit_checkpoint(path, tri, heads([(9, 4), (4, 1)], [(9, 5), (5, 3)]))
-    assert fit_shapes(*ck.load_fit_checkpoint(path))[1][1] == ((4, 1), (1,))
-    ck.save_fit_checkpoint(path, tri, heads([(21, 4), (4, 1)], [(21, 4), (4, 3)], n_freqs=2))
-    assert ck.load_fit_checkpoint(path)[1].n_freqs == 2
-    for s_shapes, c_shapes, n_freqs, message in (
-        ([(8, 4), (4, 1)], [(8, 4), (4, 3)], 0, r"^shape: array 's0.w' is \(8, 4\), expected \(9, 4\)"),
-        ([(9, 4), (3, 1)], [(9, 4), (4, 3)], 0, r"^shape: array 's1.w' is \(3, 1\), expected \(4, 1\)"),
-        ([(9, 4), (4, 2)], [(9, 4), (4, 3)], 0, r"^shape: array 's1.w' is \(4, 2\), expected \(4, 1\)"),
-        ([(9, 4), (4, 1)], [(9, 4), (4, 1)], 0, r"^shape: array 'c1.w' is \(4, 1\), expected \(4, 3\)"),
-        ([(9, 4), (4, 1)], [(10, 4), (4, 3)], 0, r"^shape: array 'c0.w' is \(10, 4\), expected \(9, 4\)"),
-        ([(9, 4), (4, 1)], [(9, 4), (4, 3)], 1, r"^meta: \(n_freqs, depth\) = \(1.0, 2.0\)"),
+    ck.save_fit_checkpoint(str(path), tri, heads([(9, 4), (4, 1)], [(9, 5), (5, 3)]))
+    assert fit_shapes(*ck.load_fit_checkpoint(str(path)))[1][1] == ((4, 1), (1,))
+    for s_shapes, c_shapes, meta, message in (
+        ([(8, 4), (4, 1)], [(8, 4), (4, 3)], None, r"^shape: array 's0.w' is \(8, 4\), expected \(9, 4\)"),
+        ([(9, 4), (3, 1)], [(9, 4), (4, 3)], None, r"^shape: array 's1.w' is \(3, 1\), expected \(4, 1\)"),
+        ([(9, 4), (4, 2)], [(9, 4), (4, 3)], None, r"^shape: array 's1.w' is \(4, 2\), expected \(4, 1\)"),
+        ([(9, 4), (4, 1)], [(9, 4), (4, 1)], None, r"^shape: array 'c1.w' is \(4, 1\), expected \(4, 3\)"),
+        ([(9, 4), (4, 1)], [(10, 4), (4, 3)], None, r"^shape: array 'c0.w' is \(10, 4\), expected \(9, 4\)"),
+        # an older file whose heads also read 2 octaves of sin/cos position encoding
+        ([(21, 4), (4, 1)], [(21, 4), (4, 3)], (2, 2), r"^shape: array 's0.w' is \(21, 4\), expected \(9, 4\)"),
+        ([(9, 4), (4, 1)], [(9, 4), (4, 3)], (1, 2), r"^meta: \(1.0, 2.0\), expected \(0, 2\)"),
     ):
-        ck.save_fit_checkpoint(path, tri, heads(s_shapes, c_shapes, n_freqs))
+        ck.save_fit_checkpoint(str(path), tri, heads(s_shapes, c_shapes))
+        if meta is not None:
+            raw = path.read_bytes()
+            at = raw.index(b"meta") + 4 + 1 + 4  # name, ndim, the one dim, then two float32 values
+            path.write_bytes(raw[:at] + struct.pack("<2f", *meta) + raw[at + 8:])
         with pytest.raises(CheckpointError, match=message):
-            ck.load_fit_checkpoint(path)
+            ck.load_fit_checkpoint(str(path))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from trifield import autodiff as ad
 from trifield import cli
 from trifield.config import DEFAULTS, SPEC, ConfigError, Int, Real, RunConfig, parse_config
 from trifield.images import read_pgm, read_ppm
@@ -147,6 +148,15 @@ def test_diffusion_sample_without_checkpoint_exits_2(tmp_path, capsys):
     assert "--checkpoint" in capsys.readouterr().err
 
 
+def test_diffusion_ablate_with_checkpoint_exits_2(run_before_work, tmp_path):
+    # ablate once trained two fresh denoisers and ignored the checkpoint it was given
+    ckpt = tmp_path / "d.ckpt"
+    ckpt.write_bytes(b"")  # never read
+    code, err, made = run_before_work("ablate", flags=["--checkpoint", str(ckpt)])
+    assert code == 2 and not made
+    assert err == "usage error: diffusion ablate takes no --checkpoint\n"
+
+
 @pytest.mark.parametrize("mode", ["train", "sample"])
 def test_diffusion_checkpoint_errors_exit_1(tmp_path, capsys, mode):
     cfgp = write_config(tmp_path / "d.cfg", TINY_DIFFUSION)
@@ -209,6 +219,13 @@ def test_gradcheck_fault_injection_in_the_mlp_node_fails(capsys):
         assert run_cli("gradcheck", "--scope", "numerics", "--inject-fault", op) == 1
         failed = [line.split()[0] for line in capsys.readouterr().out.splitlines() if line.endswith("FAIL")]
         assert failed == [f"numerics.{op}"]
+
+
+@pytest.mark.parametrize("op", [name for name, fn in vars(ad).items() if cli.is_primitive(fn)])
+def test_every_primitive_is_caught_by_the_fault_harness(capsys, op):
+    # a primitive with no numerics entry, or one left behind after its entry went, would pass corrupted
+    assert run_cli("gradcheck", "--scope", "numerics", "--inject-fault", op) == 1
+    capsys.readouterr()
 
 
 SOFTPLUS_FAILS = ["renderer.field_eval_sigma", "renderer.field_eval_sigma_w0", "renderer.integrate_ray",
@@ -554,7 +571,7 @@ def test_bad_diffusion_values_exit_2_before_any_work(run_before_work, line, says
     ("fit", ["fit.orbit_radius = 1.0"], [], "config error: fit.orbit_radius must be in (1.73205, 1e+06)"),
     ("fit", ["fit.val_every = 0"], [], "config error: fit.val_every must be >= 1"),
     ("fit", ["fit.hidden = 0"], [], "config error: fit.hidden must be >= 1"),
-    ("fit", ["fit.n_freqs = -1"], [], "config error: fit.n_freqs must be >= 0"),
+    ("fit", ["fit.n_freqs = 0"], [], "config error: line 18: unknown key 'fit.n_freqs'"),  # a retired key
     ("fit", ["fit.lambda_depth = -1.0"], [], "config error: fit.lambda_depth must be >= 0"),
     ("eval", ["fit.orbit_radius = nan"], [], "config error: line 18: key 'fit.orbit_radius' expects a finite"),
     ("render", ["render.samples_per_ray = 0"], [], "config error: render.samples_per_ray must be >= 1"),
@@ -613,7 +630,7 @@ def test_gradcheck_negative_seed_exits_2(capsys):
     assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
 
 
-@pytest.mark.parametrize("op", ["grad_check", "DTYPE", "affine", "no_such_name"])
+@pytest.mark.parametrize("op", ["grad_check", "DTYPE", "affine", "sin", "no_such_name"])
 def test_gradcheck_inject_fault_takes_only_primitives(capsys, op):
     # grad_check and DTYPE ended in an AttributeError and a TypeError traceback at the parent
     assert run_cli("gradcheck", "--scope", "numerics", "--inject-fault", op) == 2

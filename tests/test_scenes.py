@@ -402,8 +402,8 @@ def test_toy_dataset_consistency_and_extent_agreement():
         assert df.cross_plane_consistency(ex.x0) == 0.0
         # x-extent shadow agrees between P_xy and P_xz
         from trifield.triplane import plane_marginal
-        mx_xy = plane_marginal(ex.x0.tensor.data[0], "v", "max")[:, 0]
-        mx_xz = plane_marginal(ex.x0.tensor.data[1], "v", "max")[:, 0]
+        mx_xy = plane_marginal(ex.x0.tensor.data[0], "v")[:, 0]
+        mx_xz = plane_marginal(ex.x0.tensor.data[1], "v")[:, 0]
         assert np.array_equal(mx_xy, mx_xz)
 
 
